@@ -18,7 +18,6 @@ from .graphs import (
     RandomSchedule,
     Schedule,
     ScheduleReport,
-    StaticSchedule,
     complete_schedule,
     consensus_weights,
     geometric_constants,
@@ -41,7 +40,6 @@ from .regularizers import (
     Zero,
     check_inexact_prox,
     make_regularizer,
-    residual_subgradient,
     soft_threshold,
 )
 from .objectives import (
@@ -86,70 +84,3 @@ from .diagnostics import (
     stationarity_bound,
     write_trace_csv,
 )
-
-__all__ = [
-    "__version__",
-    "AdjacencyMatrix",
-    "GeometricConstants",
-    "PeriodicSchedule",
-    "RandomSchedule",
-    "Schedule",
-    "ScheduleReport",
-    "StaticSchedule",
-    "complete_schedule",
-    "consensus_weights",
-    "geometric_constants",
-    "metropolis_weights",
-    "read_matrix_file",
-    "ring_matchings_schedule",
-    "ring_schedule",
-    "schedule_from_matrices",
-    "slots_before",
-    "transition_matrix",
-    "validate_schedule",
-    "Box",
-    "ElasticNet",
-    "L1",
-    "ProxCertificate",
-    "Regularizer",
-    "SquaredL2",
-    "Zero",
-    "check_inexact_prox",
-    "make_regularizer",
-    "residual_subgradient",
-    "soft_threshold",
-    "A9A_GROUP_SIZES",
-    "Dataset",
-    "Quadratic",
-    "SigmoidLoss",
-    "WithSquaredL2",
-    "parse_libsvm",
-    "quadratic_family",
-    "serialize_libsvm",
-    "shard",
-    "subsample",
-    "synthetic_classification",
-    "IterationSnapshot",
-    "NumericalFault",
-    "RunSetup",
-    "RunTrace",
-    "StepSizeError",
-    "consensus_step",
-    "gradient_step",
-    "iterate",
-    "prox_step",
-    "run",
-    "CommLog",
-    "ReplayReport",
-    "gossip_rounds",
-    "replay_check",
-    "TRACE_COLUMNS",
-    "IterationMetrics",
-    "disagreement",
-    "geometric_envelope",
-    "gradient_averaging_error",
-    "prox_inexactness",
-    "rate_statistic",
-    "stationarity_bound",
-    "write_trace_csv",
-]

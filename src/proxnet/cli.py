@@ -40,14 +40,7 @@ from .objectives import (
     shard,
     subsample,
 )
-from .regularizers import (
-    Box,
-    ElasticNet,
-    L1,
-    SquaredL2,
-    Zero,
-    make_regularizer,
-)
+from .regularizers import ElasticNet, L1, Zero, make_regularizer
 from .solver import NumericalFault, RunSetup, StepSizeError, run
 
 PROX_CHECK_TOLERANCE = 1e-6
@@ -55,18 +48,6 @@ PROX_CHECK_TOLERANCE = 1e-6
 
 class ConfigError(Exception):
     """Anything wrong with the experiment configuration."""
-
-
-def _to_int(raw: str) -> int:
-    return int(raw)
-
-
-def _to_float(raw: str) -> float:
-    return float(raw)
-
-
-def _to_str(raw: str) -> str:
-    return raw
 
 
 def _to_bool(raw: str) -> bool:
@@ -123,37 +104,37 @@ class ExperimentConfig:
 
 # Dotted config key -> (attribute, converter).  Order defines dump order.
 _KEYS: dict[str, tuple[str, object]] = {
-    "problem.kind": ("problem_kind", _to_str),
-    "problem.n": ("problem_n", _to_int),
-    "problem.seed": ("problem_seed", _to_int),
-    "problem.lambda1": ("lambda1", _to_float),
-    "problem.lambda2": ("lambda2", _to_float),
-    "problem.reg_split": ("reg_split", _to_str),
-    "data.path": ("data_path", _to_str),
-    "data.subsample": ("data_subsample", _to_int),
-    "data.n_override": ("data_n_override", _to_int),
-    "reg.kind": ("reg_kind", _to_str),
-    "reg.lambda1": ("reg_lambda1", _to_float),
-    "reg.lambda2": ("reg_lambda2", _to_float),
-    "reg.lo": ("reg_lo", _to_float),
-    "reg.hi": ("reg_hi", _to_float),
-    "graph.kind": ("graph_kind", _to_str),
-    "graph.m": ("graph_m", _to_int),
-    "graph.eta": ("graph_eta", _to_float),
-    "graph.B": ("graph_b", _to_int),
-    "graph.period": ("graph_period", _to_int),
-    "graph.seed": ("graph_seed", _to_int),
-    "graph.path": ("graph_path", _to_str),
+    "problem.kind": ("problem_kind", str),
+    "problem.n": ("problem_n", int),
+    "problem.seed": ("problem_seed", int),
+    "problem.lambda1": ("lambda1", float),
+    "problem.lambda2": ("lambda2", float),
+    "problem.reg_split": ("reg_split", str),
+    "data.path": ("data_path", str),
+    "data.subsample": ("data_subsample", int),
+    "data.n_override": ("data_n_override", int),
+    "reg.kind": ("reg_kind", str),
+    "reg.lambda1": ("reg_lambda1", float),
+    "reg.lambda2": ("reg_lambda2", float),
+    "reg.lo": ("reg_lo", float),
+    "reg.hi": ("reg_hi", float),
+    "graph.kind": ("graph_kind", str),
+    "graph.m": ("graph_m", int),
+    "graph.eta": ("graph_eta", float),
+    "graph.B": ("graph_b", int),
+    "graph.period": ("graph_period", int),
+    "graph.seed": ("graph_seed", int),
+    "graph.path": ("graph_path", str),
     "algo.alpha": ("alpha", _to_alpha),
-    "algo.safety": ("safety", _to_float),
-    "algo.max_iter": ("max_iter", _to_int),
-    "algo.tol": ("tol", _to_float),
+    "algo.safety": ("safety", float),
+    "algo.max_iter": ("max_iter", int),
+    "algo.tol": ("tol", float),
     "algo.early_stop": ("early_stop", _to_bool),
-    "algo.init": ("init", _to_str),
-    "algo.init_scale": ("init_scale", _to_float),
-    "algo.seed": ("algo_seed", _to_int),
-    "output.trace": ("trace_path", _to_str),
-    "output.snapshot_every": ("snapshot_every", _to_int),
+    "algo.init": ("init", str),
+    "algo.init_scale": ("init_scale", float),
+    "algo.seed": ("algo_seed", int),
+    "output.trace": ("trace_path", str),
+    "output.snapshot_every": ("snapshot_every", int),
 }
 
 _PROBLEM_KINDS = ("quadratic", "sigmoid")
@@ -480,33 +461,18 @@ def cmd_prox_check(args) -> int:
         alpha = float(rng.uniform(0.05, 3.0))
         lam1 = float(rng.uniform(0.0, 2.0))
         lam2 = float(rng.uniform(0.0, 2.0))
-        if args.kind == "zero":
-            reg, penalty = Zero(1), lambda z: 0.0
-        elif args.kind == "l1":
-            reg, penalty = L1(1, lam1), lambda z: lam1 * abs(z)
-        elif args.kind == "squared-l2":
-            reg, penalty = SquaredL2(1, lam2), lambda z: lam2 * z * z
-        elif args.kind == "elastic-net":
-            reg, penalty = (
-                ElasticNet(1, lam1, lam2),
-                lambda z: lam1 * abs(z) + lam2 * z * z,
-            )
-        else:  # box
+        if args.kind == "box":
+            # The indicator is zero on the box, so search the box itself.
             lo = float(rng.uniform(-2.0, -0.1))
             hi = float(rng.uniform(0.1, 2.0))
-            reg, penalty = Box(1, lo=lo, hi=hi), None
-        exact = float(reg.prox(np.array([v]), alpha)[0])
-        if penalty is None:
-            reference = _golden_minimize(
-                lambda z: (z - v) ** 2 / (2.0 * alpha), reg.lo, reg.hi
-            )
         else:
             span = 10.0 * alpha * (lam1 + 2.0 * lam2 * abs(v) + 1.0)
-            reference = _golden_minimize(
-                lambda z: penalty(z) + (z - v) ** 2 / (2.0 * alpha),
-                v - span,
-                v + span,
-            )
+            lo, hi = v - span, v + span
+        reg = make_regularizer(args.kind, 1, lam1=lam1, lam2=lam2, lo=lo, hi=hi)
+        exact = float(reg.prox(np.array([v]), alpha)[0])
+        reference = _golden_minimize(
+            lambda z: reg.value(np.array([z])) + (z - v) ** 2 / (2.0 * alpha), lo, hi
+        )
         worst = max(worst, abs(exact - reference))
     print(f"kind={args.kind} trials={args.trials} max_deviation={worst!r}")
     return 0 if worst < PROX_CHECK_TOLERANCE else 1

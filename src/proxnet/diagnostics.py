@@ -89,17 +89,15 @@ def disagreement(x_all: np.ndarray, weights: np.ndarray) -> float:
     """Network disagreement sum_i <x_i, sum_j a_ij (x_i - x_j)>.
 
     For symmetric weights this equals (1/2) sum_ij a_ij ||x_i - x_j||^2
-    and is therefore nonnegative.
+    and is therefore nonnegative.  The pulls then sum to zero over i, so
+    centring x leaves the value unchanged; it also keeps a large common
+    offset from cancelling away the digits of a small spread.
     """
     x_all = np.asarray(x_all, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    total = 0.0
-    for i in range(x_all.shape[0]):
-        pull = np.zeros(x_all.shape[1])
-        for j in range(x_all.shape[0]):
-            pull += weights[i, j] * (x_all[i] - x_all[j])
-        total += float(x_all[i] @ pull)
-    return total
+    y = x_all - x_all.mean(axis=0)
+    pull = weights.sum(axis=1)[:, None] * y - weights @ y
+    return float(np.sum(y * pull))
 
 
 def stationarity_bound(

@@ -1,6 +1,6 @@
 """Message-level execution of the consensus stage.
 
-The solver mixes iterates by applying the cached weight product in one
+The solver mixes iterates by applying the slot-matrix product in one
 matrix multiply.  This module executes the same mixing as individual
 gossip rounds: at every slot each agent sends its value over each
 positive-weight edge, then folds the received payloads together with its

@@ -5,12 +5,11 @@ communication slot t = 0, 1, 2, ...  Iteration k of the solver consumes k
 consecutive slots starting at ``slots_before(k) = k(k-1)/2``, so after T
 iterations exactly T(T+1)/2 slots have been used.  The effective mixing
 weights of iteration k are the ordered product of its k slot matrices,
-computed (and cached) by :func:`consensus_weights`.
+computed by :func:`consensus_weights`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +117,8 @@ def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
 class Schedule:
     """Base class mapping slot indices to weight matrices.
 
-    Subclasses implement :meth:`matrix`.  Instances are immutable after
-    construction and may be shared across threads; the per-iteration
-    product cache below is guarded by a lock for writes.
+    Subclasses implement :meth:`matrix`.
     """
-
-    kind = "base"
 
     def __init__(self, m: int, eta: float, B: int) -> None:
         if m < 1:
@@ -133,32 +128,13 @@ class Schedule:
         self.m = m
         self.eta = eta
         self.B = B
-        self._product_cache: dict[int, np.ndarray] = {}
-        self._cache_lock = threading.Lock()
 
     def matrix(self, t: int) -> AdjacencyMatrix:
         raise NotImplementedError
 
 
-class StaticSchedule(Schedule):
-    """The same weight matrix at every slot."""
-
-    kind = "static"
-
-    def __init__(self, adjacency: AdjacencyMatrix, B: int = 1) -> None:
-        super().__init__(adjacency.m, adjacency.eta, B)
-        self._adjacency = adjacency
-
-    def matrix(self, t: int) -> AdjacencyMatrix:
-        if t < 0:
-            raise ValueError(f"slot index must be >= 0, got {t}")
-        return self._adjacency
-
-
 class PeriodicSchedule(Schedule):
-    """Cycles through a fixed list of weight matrices."""
-
-    kind = "periodic"
+    """Cycles through a fixed list of weight matrices; one matrix is static."""
 
     def __init__(self, matrices, B: int) -> None:
         matrices = list(matrices)
@@ -181,13 +157,12 @@ class PeriodicSchedule(Schedule):
 class RandomSchedule(Schedule):
     """Seeded random schedule that is connected over every window of B slots.
 
-    Each window of B consecutive slots embeds one random spanning tree at a
-    random position, which guarantees window connectivity by construction;
-    the remaining slots of the window draw independent random edge subsets.
-    Identical seeds reproduce identical matrices at every slot.
+    Slot t holds a random spanning tree when t is a multiple of B; the other
+    slots draw independent random edge subsets.  Every run of B consecutive
+    slots, aligned to a multiple of B or not, contains exactly one tree
+    slot, so both window notions are connected by construction.  Identical
+    seeds reproduce identical matrices at every slot.
     """
-
-    kind = "seeded-random"
 
     def __init__(self, m: int, B: int, seed: int, edge_prob: float = 0.25) -> None:
         # Metropolis weights never fall below 1/m, see metropolis_weights.
@@ -195,14 +170,12 @@ class RandomSchedule(Schedule):
         self.seed = seed
         self.edge_prob = edge_prob
         self._windows: dict[int, list[AdjacencyMatrix]] = {}
-        self._window_lock = threading.Lock()
 
     def _build_window(self, window: int) -> list[AdjacencyMatrix]:
         rng = np.random.default_rng([self.seed, window])
-        tree_slot = int(rng.integers(self.B))
         mats = []
         for pos in range(self.B):
-            if pos == tree_slot and self.m > 1:
+            if pos == 0 and self.m > 1:
                 order = rng.permutation(self.m)
                 edges = [
                     (int(order[i]), int(order[int(rng.integers(i))]))
@@ -220,19 +193,17 @@ class RandomSchedule(Schedule):
             raise ValueError(f"slot index must be >= 0, got {t}")
         window, pos = divmod(t, self.B)
         if window not in self._windows:
-            with self._window_lock:
-                if window not in self._windows:
-                    self._windows[window] = self._build_window(window)
+            self._windows[window] = self._build_window(window)
         return self._windows[window][pos]
 
 
-def complete_schedule(m: int, B: int = 1) -> StaticSchedule:
+def complete_schedule(m: int, B: int = 1) -> PeriodicSchedule:
     """All-to-all graph at every slot (Metropolis weights are uniform 1/m)."""
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    return StaticSchedule(metropolis_weights(edges, m), B=B)
+    return PeriodicSchedule([metropolis_weights(edges, m)], B=B)
 
 
-def ring_schedule(m: int, B: int = 1) -> StaticSchedule:
+def ring_schedule(m: int, B: int = 1) -> PeriodicSchedule:
     """Ring graph at every slot."""
     if m == 1:
         edges = []
@@ -240,7 +211,7 @@ def ring_schedule(m: int, B: int = 1) -> StaticSchedule:
         edges = [(0, 1)]
     else:
         edges = [(i, (i + 1) % m) for i in range(m)]
-    return StaticSchedule(metropolis_weights(edges, m), B=B)
+    return PeriodicSchedule([metropolis_weights(edges, m)], B=B)
 
 
 def ring_matchings_schedule(m: int) -> PeriodicSchedule:
@@ -310,20 +281,10 @@ def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
     """Effective mixing matrix of iteration k.
 
     Iteration k consumes slots slots_before(k) .. slots_before(k) + k - 1
-    and mixes with the ordered product of those k matrices.  Results are
-    cached per (schedule, k); the returned array is read-only.
+    and mixes with the ordered product of those k matrices.
     """
-    if k < 1:
-        raise ValueError(f"iteration index must be >= 1, got {k}")
-    cached = schedule._product_cache.get(k)
-    if cached is not None:
-        return cached
     start = slots_before(k)
-    product = transition_matrix(schedule, start + k - 1, start)
-    product.flags.writeable = False
-    with schedule._cache_lock:
-        schedule._product_cache[k] = product
-    return product
+    return transition_matrix(schedule, start + k - 1, start)
 
 
 @dataclass

@@ -8,8 +8,8 @@ and synthetic data generation live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -148,32 +148,15 @@ def stable_sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
 
 
-@lru_cache(maxsize=1)
 def sigmoid_curvature_peak() -> float:
     """max_u |second derivative of u -> 1/(1+e^u)|, about 0.09623.
 
-    Found by grid search over [-10, 10] at step 1e-4, then ternary
-    refinement of the bracket around the best grid point down to 1e-12.
+    The maximum of |s(1-s)(1-2s)| over s in (0, 1) sits at
+    s = (3 - sqrt 3)/6, where it equals 1/(6 sqrt 3).  Written this way
+    it rounds to the nearest float; sqrt(3)/18 is one ulp low, and the
+    seed-0 benchmark traces depend on this exact value through L.
     """
-
-    def curvature(u: float) -> float:
-        s = float(stable_sigmoid(np.array(u)))
-        return abs(s * (1.0 - s) * (1.0 - 2.0 * s))
-
-    grid = np.arange(-10.0, 10.0 + 1e-4, 1e-4)
-    s = stable_sigmoid(grid)
-    values = np.abs(s * (1.0 - s) * (1.0 - 2.0 * s))
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    while hi - lo > 1e-12:
-        third = (hi - lo) / 3.0
-        c, d = lo + third, hi - third
-        if curvature(c) < curvature(d):
-            lo = c
-        else:
-            hi = d
-    return curvature(0.5 * (lo + hi))
+    return 1.0 / (6.0 * math.sqrt(3.0))
 
 
 class SigmoidLoss:
@@ -182,8 +165,6 @@ class SigmoidLoss:
     g(x) = mean over samples of 1/(1+exp(l <a, x>)).  Wrong-side margins
     push the loss toward 1, correct ones toward 0.
     """
-
-    kind = "sigmoid-loss"
 
     def __init__(self, shard: Dataset) -> None:
         if shard.count == 0:
@@ -212,11 +193,6 @@ class SigmoidLoss:
         norms_sq = np.sum(self.shard.features**2, axis=1)
         return sigmoid_curvature_peak() * float(np.mean(norms_sq))
 
-    def gradient_bound(self, radius: float | None = None) -> float:
-        # |s(1-s)| <= 1/4 regardless of x, so the radius is irrelevant.
-        norms = np.linalg.norm(self.shard.features, axis=1)
-        return 0.25 * float(np.mean(norms))
-
 
 def _spectral_norm_power(q: np.ndarray, rel_tol: float = 1e-8) -> float:
     n = q.shape[0]
@@ -236,8 +212,6 @@ def _spectral_norm_power(q: np.ndarray, rel_tol: float = 1e-8) -> float:
 
 class Quadratic:
     """g(x) = (x-c)' Q (x-c) / 2 with symmetric Q."""
-
-    kind = "quadratic"
 
     def __init__(self, q: np.ndarray, c: np.ndarray) -> None:
         q = np.asarray(q, dtype=float)
@@ -270,11 +244,6 @@ class Quadratic:
             self._lipschitz = _spectral_norm_power(self.q)
         return self._lipschitz
 
-    def gradient_bound(self, radius: float | None = None) -> float:
-        if radius is None or radius <= 0:
-            raise ValueError("quadratic gradients are only bounded on a ball")
-        return self.lipschitz() * (radius + float(np.linalg.norm(self.c)))
-
 
 class WithSquaredL2:
     """Moves a lam2 ||x||^2 ridge term into the smooth part.
@@ -283,8 +252,6 @@ class WithSquaredL2:
     regularizer; this wrapper supports the alternative split where it
     rides along with the local loss.
     """
-
-    kind = "with-squared-l2"
 
     def __init__(self, base, lam2: float) -> None:
         if lam2 < 0:
@@ -306,11 +273,6 @@ class WithSquaredL2:
 
     def lipschitz(self) -> float:
         return self.base.lipschitz() + 2.0 * self.lam2
-
-    def gradient_bound(self, radius: float | None = None) -> float:
-        if radius is None or radius <= 0:
-            raise ValueError("ridge gradients are only bounded on a ball")
-        return self.base.gradient_bound(radius) + 2.0 * self.lam2 * radius
 
 
 def quadratic_family(m: int, n: int, seed: int) -> list[Quadratic]:

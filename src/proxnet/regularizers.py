@@ -2,8 +2,7 @@
 
 Every supported regularizer is coordinatewise separable, so its proximal
 operator has a closed form and applies along the trailing axis of any
-input array.  The inexact-prox certificate and the residual subgradient
-reconstruction used by the diagnostics live here as well.
+input array.  The inexact-prox acceptance test lives here as well.
 """
 
 from __future__ import annotations
@@ -270,27 +269,3 @@ def check_inexact_prox(
     if gap <= 0:
         return ProxCertificate(accepted=True, excess=0.0)
     return ProxCertificate(accepted=False, excess=gap)
-
-
-def residual_subgradient(
-    x_prev: np.ndarray,
-    x_next: np.ndarray,
-    g_bar: np.ndarray,
-    e: np.ndarray,
-    p: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Reconstruct the epsilon-subgradient certified by one averaged step.
-
-    Returns (x_prev - x_next)/alpha - g_bar - e - p/alpha, where g_bar is
-    the average gradient at x_prev, e the gradient-averaging error and p
-    the prox-inexactness displacement.
-    """
-    if not alpha > 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
-    arrays = [np.asarray(a, dtype=float) for a in (x_prev, x_next, g_bar, e, p)]
-    shapes = {a.shape for a in arrays}
-    if len(shapes) != 1:
-        raise ValueError(f"mismatched shapes {sorted(shapes)}")
-    x_prev, x_next, g_bar, e, p = arrays
-    return (x_prev - x_next) / alpha - g_bar - e - p / alpha

@@ -75,8 +75,8 @@ def iterate(
     """One full iteration; returns (x_next, q_all, v_all).
 
     Consumes communication slots slots_before(k) .. slots_before(k)+k-1
-    through the cached weight product; the message-level execution lives
-    in the gossip module and must agree with this one.
+    through their weight product; the message-level execution lives in
+    the gossip module and must agree with this one.
     """
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")
@@ -122,8 +122,6 @@ class RunSetup:
     """Everything a run needs besides the data inside the objectives.
 
     init has one row per agent.  alpha must satisfy alpha < 1/L strictly.
-    radius declares the iterate-norm ball on which subgradient bounds are
-    valid; by default ten times the largest initial row norm, at least 10.
     """
 
     objectives: list
@@ -135,7 +133,6 @@ class RunSetup:
     early_stop: bool = False
     tol: float = 1e-8
     snapshot_every: int = 1
-    radius: float | None = None
 
 
 @dataclass
@@ -191,9 +188,9 @@ def run(setup: RunSetup) -> RunTrace:
         if m >= 2
         else None
     )
-    radius = setup.radius
-    if radius is None:
-        radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(init, axis=1))))
+    # Subgradient bounds are declared on the iterate-norm ball of ten times
+    # the largest initial row norm, at least 10.
+    radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(init, axis=1))))
     g_h = setup.regularizer.subgradient_bound(radius)
     eps_supported = np.isfinite(g_h)
 

@@ -13,7 +13,7 @@ from proxnet.cli import (
     load_config,
     parse_config,
 )
-from proxnet.graphs import PeriodicSchedule, RandomSchedule, StaticSchedule
+from proxnet.graphs import PeriodicSchedule, RandomSchedule
 from proxnet.objectives import (
     Quadratic,
     SigmoidLoss,
@@ -156,8 +156,9 @@ def test_load_config_resolves_paths_against_config_dir(tmp_path):
 
 
 def test_build_schedule_kinds():
-    assert isinstance(build_schedule(parse_config("graph.kind = complete\n")), StaticSchedule)
-    assert isinstance(build_schedule(parse_config("graph.kind = ring\n")), StaticSchedule)
+    for kind in ("complete", "ring"):
+        static = build_schedule(parse_config(f"graph.kind = {kind}\n"))
+        assert isinstance(static, PeriodicSchedule) and static.period == 1
     matchings = build_schedule(parse_config("graph.kind = matchings\ngraph.m = 6\n"))
     assert isinstance(matchings, PeriodicSchedule) and matchings.B == 2
     rand = build_schedule(parse_config("graph.kind = random\ngraph.B = 2\ngraph.seed = 5\n"))
@@ -353,6 +354,19 @@ def test_validate_graph_verdicts(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().out
 
     assert cli.main(["validate-graph", "--config", str(tmp_path / "nope.conf")]) == 2
+
+
+def test_run_random_schedule_passes_validation(tmp_path, capsys):
+    # One spanning tree per B-window at a fixed position keeps every
+    # sliding window connected, so the run's own validation accepts it.
+    conf = tmp_path / "random.conf"
+    conf.write_text(
+        "problem.kind = quadratic\nproblem.n = 3\ngraph.kind = random\n"
+        "graph.m = 10\ngraph.B = 3\nalgo.max_iter = 90\n"
+    )
+    out = tmp_path / "random-trace.csv"
+    assert cli.main(["run", "--config", str(conf), "--output", str(out)]) == 0
+    assert "iterations 90" in capsys.readouterr().out
 
 
 def test_validate_graph_horizon_flag(tmp_path, capsys):

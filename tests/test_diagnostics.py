@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxnet.diagnostics import (
     TRACE_COLUMNS,
@@ -131,22 +132,32 @@ def test_disagreement_examples() -> None:
     assert disagreement(3.0 * x, weights) == pytest.approx(9.0 * 0.5)
 
 
-def test_disagreement_matches_pairwise_form() -> None:
-    # Literal definition vs the half-sum-of-squares identity for
-    # symmetric weights, evaluated by an explicit double loop.
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        m, n = 6, 3
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    near_consensus=st.booleans(),
+)
+def test_disagreement_matches_pairwise_form(m, n, seed, near_consensus) -> None:
+    # Matrix form vs the half-sum-of-squares identity for symmetric
+    # weights, evaluated by an explicit double loop.  Near consensus a
+    # large common offset must not swamp the small spread.
+    rng = np.random.default_rng(seed)
+    if near_consensus:
+        x = 1e4 + 1e-4 * rng.standard_normal((m, n))
+    else:
         x = rng.standard_normal((m, n))
-        w = rng.random((m, m))
-        w = (w + w.T) / 2
-        pairwise = 0.0
-        for i in range(m):
-            for j in range(m):
-                diff = x[i] - x[j]
-                pairwise += 0.5 * w[i, j] * float(diff @ diff)
-        assert disagreement(x, w) == pytest.approx(pairwise, abs=1e-10)
-        assert disagreement(x, w) >= -1e-10
+    w = rng.random((m, m))
+    w = (w + w.T) / 2
+    pairwise = 0.0
+    for i in range(m):
+        for j in range(m):
+            diff = x[i] - x[j]
+            pairwise += 0.5 * w[i, j] * float(diff @ diff)
+    got = disagreement(x, w)
+    assert got == pytest.approx(pairwise, rel=1e-6, abs=1e-300)
+    assert got >= -1e-10
 
 
 def test_stationarity_bound_examples() -> None:

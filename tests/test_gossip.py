@@ -10,7 +10,6 @@ from proxnet.gossip import (
 from proxnet.graphs import (
     PeriodicSchedule,
     RandomSchedule,
-    StaticSchedule,
     complete_schedule,
     consensus_weights,
     metropolis_weights,
@@ -50,7 +49,7 @@ def test_one_round_complete_graph_averages() -> None:
 
 
 def test_edgeless_graph_moves_nothing() -> None:
-    sched = StaticSchedule(metropolis_weights([], 3))
+    sched = PeriodicSchedule([metropolis_weights([], 3)], B=1)
     values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     mixed, log = gossip_rounds(values, sched, start_slot=0, rounds=5)
     assert np.array_equal(mixed, values)

@@ -165,24 +165,34 @@ def test_sigmoid_grad_matches_finite_differences() -> None:
         )
 
 
-def test_sigmoid_gradient_bound() -> None:
-    data = synthetic_classification(count=30, n=8, seed=2)
-    loss = SigmoidLoss(data)
-    bound = loss.gradient_bound()
-    assert bound == pytest.approx(
-        0.25 * float(np.mean(np.linalg.norm(data.features, axis=1)))
-    )
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        x = rng.standard_normal(8) * rng.uniform(0, 20)
-        assert np.linalg.norm(loss.grad(x)) <= bound + 1e-12
+def _curvature_peak_by_search() -> float:
+    """Grid search over [-10, 10] at step 1e-4, then ternary refinement."""
+
+    def curvature(u: float) -> float:
+        s = float(stable_sigmoid(np.array(u)))
+        return abs(s * (1.0 - s) * (1.0 - 2.0 * s))
+
+    grid = np.arange(-10.0, 10.0 + 1e-4, 1e-4)
+    s = stable_sigmoid(grid)
+    best = int(np.argmax(np.abs(s * (1.0 - s) * (1.0 - 2.0 * s))))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    while hi - lo > 1e-12:
+        third = (hi - lo) / 3.0
+        c, d = lo + third, hi - third
+        if curvature(c) < curvature(d):
+            lo = c
+        else:
+            hi = d
+    return curvature(0.5 * (lo + hi))
 
 
 def test_curvature_peak_value() -> None:
     # The analytic maximum of |s(1-s)(1-2s)| over s in (0,1) is 1/(6 sqrt 3).
-    assert sigmoid_curvature_peak() == pytest.approx(
-        1.0 / (6.0 * math.sqrt(3.0)), abs=1e-10
-    )
+    assert abs(sigmoid_curvature_peak() - _curvature_peak_by_search()) <= 1e-15
+    # Pinned to the bit: the seed-0 benchmark reference traces depend on
+    # this float through L, alpha and the residual bound.
+    assert sigmoid_curvature_peak() == 0.09622504486493763
 
 
 def test_sigmoid_lipschitz_single_unit_sample() -> None:
@@ -228,18 +238,6 @@ def test_quadratic_lipschitz_matches_eigensolver() -> None:
         quad = Quadratic(q, np.zeros(7))
         want = float(np.max(np.linalg.eigvalsh(q)))
         assert quad.lipschitz() == pytest.approx(want, rel=1e-6)
-
-
-def test_quadratic_gradient_bound_on_ball() -> None:
-    quad = Quadratic(np.diag([1.0, 3.0]), np.array([1.0, 0.0]))
-    bound = quad.gradient_bound(radius=2.0)
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        x = rng.standard_normal(2)
-        x *= rng.uniform(0, 2.0) / np.linalg.norm(x)
-        assert np.linalg.norm(quad.grad(x)) <= bound + 1e-12
-    with pytest.raises(ValueError):
-        quad.gradient_bound()
 
 
 def test_quadratic_family_reproducible() -> None:

@@ -13,7 +13,6 @@ from proxnet.regularizers import (
     Zero,
     check_inexact_prox,
     make_regularizer,
-    residual_subgradient,
     soft_threshold,
 )
 
@@ -210,47 +209,6 @@ def test_check_inexact_prox_infeasible_candidate() -> None:
     cert = check_inexact_prox(reg, np.array([2.0, 0.0]), np.zeros(2), 1.0, 100.0)
     assert not cert.accepted
     assert cert.excess == math.inf
-
-
-def test_residual_subgradient_trivial() -> None:
-    z = np.zeros(3)
-    assert np.array_equal(residual_subgradient(z, z, z, z, z, 0.7), z)
-    alpha = 0.25
-    got = residual_subgradient(
-        np.array([alpha]), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), alpha
-    )
-    assert got == pytest.approx([1.0])
-
-
-def test_residual_subgradient_certifies_l1_step() -> None:
-    # One exact prox-gradient step on g(x) = (x-2)^2/2 with h = |.|,
-    # started at the minimizer of g so the gradient term drops out.
-    alpha = 0.5
-    lam1 = 1.0
-    reg = L1(1, lam1=lam1)
-    x_prev = np.array([2.0])
-    g_bar = x_prev - 2.0  # gradient of g at x_prev
-    v = x_prev - alpha * g_bar
-    x_next = reg.prox(v, alpha)
-    assert x_next == pytest.approx([1.5])
-    got = residual_subgradient(
-        x_prev, x_next, g_bar, np.zeros(1), np.zeros(1), alpha
-    )
-    # With p = 0 the same value comes straight from the prox displacement.
-    assert got == pytest.approx((v - x_next) / alpha - g_bar)
-    # The result is the l1 subgradient at x_next: sign(1.5) * lam1.
-    assert got == pytest.approx([lam1])
-
-
-def test_residual_subgradient_rejects_mismatch() -> None:
-    with pytest.raises(ValueError):
-        residual_subgradient(
-            np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), np.zeros(2), 1.0
-        )
-    with pytest.raises(ValueError):
-        residual_subgradient(
-            np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0.0
-        )
 
 
 def test_make_regularizer() -> None:

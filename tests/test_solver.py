@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxnet.graphs import (
-    StaticSchedule,
+    PeriodicSchedule,
     complete_schedule,
     metropolis_weights,
     ring_schedule,
@@ -223,7 +223,7 @@ def test_run_rejects_invalid_schedule() -> None:
     setup = RunSetup(
         objectives=objectives,
         regularizer=Zero(2),
-        schedule=StaticSchedule(adj),
+        schedule=PeriodicSchedule([adj], B=1),
         alpha=0.1 / max(o.lipschitz() for o in objectives),
         max_iter=5,
         init=np.zeros((4, 2)),
@@ -353,9 +353,10 @@ def test_run_early_stop() -> None:
 
 
 def test_run_eps_unavailable_outside_ball() -> None:
-    # A radius the iterates immediately leave turns off the eps-based
+    # From zeros the ball has radius 10; a minimizer near 50 drives the
+    # iterates out of it at once, which turns off the eps-based
     # certificate but keeps the partial residual bound finite.
-    objectives = [Quadratic(np.eye(1), np.array([5.0])) for _ in range(2)]
+    objectives = [Quadratic(np.eye(1), np.array([50.0])) for _ in range(2)]
     from proxnet.regularizers import ElasticNet
 
     setup = RunSetup(
@@ -364,8 +365,7 @@ def test_run_eps_unavailable_outside_ball() -> None:
         schedule=complete_schedule(2),
         alpha=0.5,
         max_iter=5,
-        init=np.full((2, 1), 3.0),
-        radius=0.001,
+        init=np.zeros((2, 1)),
     )
     trace = run(setup)
     for row in trace.rows[1:]:
