@@ -79,15 +79,12 @@ class ExperimentConfig:
     data_subsample: int | None = None
     data_n_override: int | None = None
     reg_kind: str | None = None
-    reg_lambda1: float | None = None
-    reg_lambda2: float | None = None
     reg_lo: float = -1.0
     reg_hi: float = 1.0
     graph_kind: str = "complete"
     graph_m: int = 10
     graph_eta: float | None = None
     graph_b: int | None = None
-    graph_period: int | None = None
     graph_seed: int = 0
     graph_path: str | None = None
     alpha: object = "auto"
@@ -114,15 +111,12 @@ _KEYS: dict[str, tuple[str, object]] = {
     "data.subsample": ("data_subsample", int),
     "data.n_override": ("data_n_override", int),
     "reg.kind": ("reg_kind", str),
-    "reg.lambda1": ("reg_lambda1", float),
-    "reg.lambda2": ("reg_lambda2", float),
     "reg.lo": ("reg_lo", float),
     "reg.hi": ("reg_hi", float),
     "graph.kind": ("graph_kind", str),
     "graph.m": ("graph_m", int),
     "graph.eta": ("graph_eta", float),
     "graph.B": ("graph_b", int),
-    "graph.period": ("graph_period", int),
     "graph.seed": ("graph_seed", int),
     "graph.path": ("graph_path", str),
     "algo.alpha": ("alpha", _to_alpha),
@@ -267,11 +261,6 @@ def build_schedule(cfg: ExperimentConfig) -> Schedule:
             matrices = read_matrix_file(cfg.graph_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad graph file: {exc}") from None
-        if cfg.graph_period is not None and cfg.graph_period != len(matrices):
-            raise ConfigError(
-                f"graph.period = {cfg.graph_period} but file holds "
-                f"{len(matrices)} matrices"
-            )
         try:
             schedule = schedule_from_matrices(
                 matrices, B=cfg.graph_b or len(matrices)
@@ -329,11 +318,9 @@ def build_problem(cfg: ExperimentConfig):
         objectives = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
         regularizer = Zero(n)
     if cfg.reg_kind is not None:
-        lam1 = cfg.reg_lambda1 if cfg.reg_lambda1 is not None else cfg.lambda1
-        lam2 = cfg.reg_lambda2 if cfg.reg_lambda2 is not None else cfg.lambda2
         try:
             regularizer = make_regularizer(
-                cfg.reg_kind, n, lam1=lam1, lam2=lam2, lo=cfg.reg_lo, hi=cfg.reg_hi
+                cfg.reg_kind, n, cfg.lambda1, cfg.lambda2, cfg.reg_lo, cfg.reg_hi
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -372,8 +359,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    objectives, regularizer, n, provenance = build_problem(cfg)
+    # The schedule is cheap to build and the data can take seconds to
+    # parse, so schedule errors are reported first.
     schedule = build_schedule(cfg)
+    objectives, regularizer, n, provenance = build_problem(cfg)
     lipschitz = max(obj.lipschitz() for obj in objectives)
     if cfg.alpha == "auto":
         if lipschitz <= 0:

@@ -9,29 +9,14 @@ nothing feeds back into the iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-
-# Exact CSV column order of a run trace.
-TRACE_COLUMNS = (
-    "k",
-    "comm_cumulative",
-    "f_avg",
-    "D",
-    "dx_norm",
-    "e_norm",
-    "eps",
-    "residual_bound",
-    "max_consensus_gap",
-    "geo_bound",
-    "rate_T_times_stat",
-)
 
 
 @dataclass(frozen=True)
 class IterationMetrics:
-    """One trace row; field order mirrors TRACE_COLUMNS.
+    """One trace row; the field order is the CSV column order.
 
     eps is None when the prox-inexactness certificate is unavailable,
     either because the regularizer has unbounded subgradients or because
@@ -51,6 +36,9 @@ class IterationMetrics:
     max_consensus_gap: float
     geo_bound: float
     rate_T_times_stat: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(IterationMetrics))
 
 
 def gradient_averaging_error(x_all: np.ndarray, objectives) -> np.ndarray:
@@ -127,11 +115,15 @@ def geometric_envelope(geo, k: int, q_all: np.ndarray) -> float:
 
     geo is the GeometricConstants of the schedule, or None for a single
     agent, where no disagreement is possible and the envelope is zero.
+    An infinite Gamma makes the envelope vacuous: it reads inf, never the
+    nan of inf * 0.
     """
     if geo is None:
         return 0.0
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")
+    if math.isinf(geo.Gamma):
+        return math.inf
     q_all = np.asarray(q_all, dtype=float)
     total = float(np.linalg.norm(q_all, axis=1).sum())
     return 2.0 * geo.Gamma * geo.gamma**k * total
@@ -153,21 +145,8 @@ def _format(value) -> str:
 
 
 def csv_line(row: IterationMetrics) -> str:
-    return ",".join(
-        [
-            str(row.k),
-            str(row.comm_cumulative),
-            _format(row.f_avg),
-            _format(row.D),
-            _format(row.dx_norm),
-            _format(row.e_norm),
-            _format(row.eps),
-            _format(row.residual_bound),
-            _format(row.max_consensus_gap),
-            _format(row.geo_bound),
-            _format(row.rate_T_times_stat),
-        ]
-    )
+    k, comm_cumulative, *values = astuple(row)
+    return ",".join([str(k), str(comm_cumulative), *map(_format, values)])
 
 
 def write_trace_csv(rows, path) -> None:

@@ -8,7 +8,7 @@ input array.  The inexact-prox acceptance test lives here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,85 +62,6 @@ class Regularizer:
         """
         raise NotImplementedError
 
-    def _need_radius(self, radius: float | None) -> float:
-        if radius is None:
-            raise ValueError(
-                f"{self.kind} subgradients are only bounded on a ball; "
-                "pass the iterate-norm radius"
-            )
-        if not radius > 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        return radius
-
-
-@dataclass(frozen=True)
-class Zero(Regularizer):
-    """h identically zero; prox is the identity."""
-
-    kind = "zero"
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
-
-    def prox(self, v, alpha):
-        return self._check(v, alpha).copy()
-
-    def subgradient_bound(self, radius=None):
-        return 0.0
-
-
-@dataclass(frozen=True)
-class L1(Regularizer):
-    """h(x) = lam1 * ||x||_1."""
-
-    lam1: float = 0.0
-
-    kind = "l1"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.lam1 < 0:
-            raise ValueError(f"lam1 must be nonnegative, got {self.lam1}")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.lam1 * np.sum(np.abs(x), axis=-1)
-        return float(out) if x.ndim == 1 else out
-
-    def prox(self, v, alpha):
-        v = self._check(v, alpha)
-        return soft_threshold(v, alpha * self.lam1)
-
-    def subgradient_bound(self, radius=None):
-        return self.lam1 * math.sqrt(self.n)
-
-
-@dataclass(frozen=True)
-class SquaredL2(Regularizer):
-    """h(x) = lam2 * ||x||^2."""
-
-    lam2: float = 0.0
-
-    kind = "squared-l2"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.lam2 < 0:
-            raise ValueError(f"lam2 must be nonnegative, got {self.lam2}")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.lam2 * np.sum(x * x, axis=-1)
-        return float(out) if x.ndim == 1 else out
-
-    def prox(self, v, alpha):
-        v = self._check(v, alpha)
-        return v / (1.0 + 2.0 * alpha * self.lam2)
-
-    def subgradient_bound(self, radius=None):
-        return 2.0 * self.lam2 * self._need_radius(radius)
-
 
 @dataclass(frozen=True)
 class ElasticNet(Regularizer):
@@ -148,6 +69,9 @@ class ElasticNet(Regularizer):
 
     The prox shrinks first and rescales second: first-order optimality of
     lam1|z| + lam2 z^2 + (z-v)^2/(2a) gives z = soft(v, a lam1)/(1+2a lam2).
+    Zero, L1 and SquaredL2 pin their unused weights at zero.  A zero
+    weight changes no result: soft(v, 0) == v, dividing by 1.0 is exact,
+    and value skips the term, so an overflowing |x|^2 cannot make 0 * inf.
     """
 
     lam1: float = 0.0
@@ -164,9 +88,11 @@ class ElasticNet(Regularizer):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        out = self.lam1 * np.sum(np.abs(x), axis=-1) + self.lam2 * np.sum(
-            x * x, axis=-1
-        )
+        out = np.zeros(x.shape[:-1])
+        if self.lam1 > 0:
+            out = out + self.lam1 * np.sum(np.abs(x), axis=-1)
+        if self.lam2 > 0:
+            out = out + self.lam2 * np.sum(x * x, axis=-1)
         return float(out) if x.ndim == 1 else out
 
     def prox(self, v, alpha):
@@ -174,9 +100,45 @@ class ElasticNet(Regularizer):
         return soft_threshold(v, alpha * self.lam1) / (1.0 + 2.0 * alpha * self.lam2)
 
     def subgradient_bound(self, radius=None):
-        return self.lam1 * math.sqrt(self.n) + 2.0 * self.lam2 * self._need_radius(
-            radius
-        )
+        bound = self.lam1 * math.sqrt(self.n)
+        if self.lam2 > 0:
+            if radius is None:
+                raise ValueError(
+                    f"{self.kind} subgradients are only bounded on a ball; "
+                    "pass the iterate-norm radius"
+                )
+            if not radius > 0:
+                raise ValueError(f"radius must be positive, got {radius}")
+            bound += 2.0 * self.lam2 * radius
+        return bound
+
+
+@dataclass(frozen=True)
+class Zero(ElasticNet):
+    """h identically zero; prox is the identity."""
+
+    lam1: float = field(default=0.0, init=False)
+    lam2: float = field(default=0.0, init=False)
+
+    kind = "zero"
+
+
+@dataclass(frozen=True)
+class L1(ElasticNet):
+    """h(x) = lam1 * ||x||_1."""
+
+    lam2: float = field(default=0.0, init=False)
+
+    kind = "l1"
+
+
+@dataclass(frozen=True)
+class SquaredL2(ElasticNet):
+    """h(x) = lam2 * ||x||^2."""
+
+    lam1: float = field(default=0.0, init=False)
+
+    kind = "squared-l2"
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Config grammar, builders, subcommands, exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,6 @@ data.path = data.libsvm
 data.subsample = 12
 data.n_override = 9
 reg.kind = box
-reg.lambda1 = 0.01
-reg.lambda2 = 0.02
 reg.lo = -0.5
 reg.hi = 0.75
 graph.kind = random
@@ -44,7 +44,6 @@ graph.m = 5
 graph.eta = 0.125
 graph.B = 3
 graph.seed = 42
-graph.period = 2
 algo.alpha = 0.05
 algo.safety = 0.8
 algo.max_iter = 17
@@ -72,7 +71,7 @@ def _quad_config(tmp_path, name="quad.conf", extra=""):
         "problem.n = 3\n"
         "problem.seed = 11\n"
         "reg.kind = l1\n"
-        "reg.lambda1 = 0.05\n"
+        "problem.lambda1 = 0.05\n"
         "graph.kind = complete\n"
         "graph.m = 4\n"
         "algo.max_iter = 10\n"
@@ -110,6 +109,8 @@ def test_config_auto_alpha_round_trips():
         ("graph.m = four\n", "bad value", 3),
         ("just some words\n", "key = value", 3),
         ("algo.early_stop = maybe\n", "bad value", 3),
+        ("reg.lambda1 = 1\n", "unknown key", 3),
+        ("graph.period = 2\n", "unknown key", 3),
     ],
 )
 def test_config_parse_errors_carry_line_numbers(text, fragment, line):
@@ -183,10 +184,6 @@ def test_build_schedule_from_matrix_file(tmp_path):
     cfg = parse_config(f"graph.kind = file\ngraph.m = 2\ngraph.path = {path}\n")
     schedule = build_schedule(cfg)
     assert schedule.m == 2 and schedule.B == 2
-    cfg.graph_period = 3
-    with pytest.raises(ConfigError, match="2 matrices"):
-        build_schedule(cfg)
-    cfg.graph_period = None
     cfg.graph_m = 4
     with pytest.raises(ConfigError, match="graph.m"):
         build_schedule(cfg)
@@ -324,6 +321,40 @@ def test_run_exit_codes(tmp_path, capsys):
     conf = _quad_config(tmp_path)
     assert cli.main(["run", "--config", str(conf), "--alpha", "1.0"]) == 3
     assert "step-size" in capsys.readouterr().err
+
+
+def test_run_reports_schedule_error_before_reading_data(tmp_path, capsys):
+    # The schedule is built first, so a bad graph section is reported
+    # before a malformed data file is parsed.
+    (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        "problem.kind = sigmoid\ndata.path = data.libsvm\n"
+        "graph.kind = random\ngraph.m = 2\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert "graph.B" in err and "data file" not in err
+
+
+def test_run_with_overflowing_geometric_constants(tmp_path, capsys):
+    # At m = 1000 on matchings, eta^(-B0) = 2^1998 exceeds the float range:
+    # Gamma is inf, the envelope reads inf and every other column is finite.
+    conf = tmp_path / "wide.conf"
+    conf.write_text("graph.kind = matchings\ngraph.m = 1000\nalgo.max_iter = 2\n")
+    out = tmp_path / "wide.csv"
+    assert cli.main(["run", "--config", str(conf), "--output", str(out)]) == 0
+    capsys.readouterr()
+    header, *lines = out.read_text().splitlines()
+    columns = header.split(",")
+    rows = [dict(zip(columns, map(float, line.split(",")))) for line in lines]
+    assert len(rows) == 3
+    for row in rows:
+        for name, value in row.items():
+            if name == "geo_bound" and row["k"] >= 1:
+                assert value == math.inf
+            else:
+                assert math.isfinite(value), name
 
 
 def test_run_reports_numerical_fault_iteration(tmp_path, monkeypatch, capsys):

@@ -97,6 +97,17 @@ def test_adjacency_validation() -> None:
         AdjacencyMatrix(np.array([[np.nan, 1.0], [1.0, np.nan]]))
 
 
+def test_adjacency_matrix_is_a_read_only_copy() -> None:
+    # The stochasticity check runs once, at construction, so the stored
+    # matrix must not change afterwards; the caller's array is not frozen.
+    w = np.full((2, 2), 0.5)
+    adj = AdjacencyMatrix(w)
+    with pytest.raises(ValueError):
+        adj.w[0, 0] = 1.0
+    w[0, 0] = 1.0
+    assert adj.w[0, 0] == 0.5
+
+
 def test_adjacency_edges_and_eta() -> None:
     adj = metropolis_weights([(0, 1), (1, 2)], 3)
     assert adj.edges() == [(0, 1), (1, 2)]

@@ -164,6 +164,33 @@ def test_subgradient_bound_requires_radius() -> None:
         ElasticNet(3, lam1=1.0, lam2=1.0).subgradient_bound(radius=-1.0)
 
 
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+    st.floats(1e-3, 10.0),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 10.0),
+)
+def test_pinned_kinds_match_their_own_formulas_bit_for_bit(
+    entries, alpha: float, lam1: float, lam2: float
+) -> None:
+    # Zero, L1 and SquaredL2 run the elastic-net code with a weight pinned
+    # at zero; each must equal its term-free formula exactly.
+    v = np.array(entries)
+    n = v.size
+    assert np.array_equal(L1(n, lam1).prox(v, alpha), soft_threshold(v, alpha * lam1))
+    assert np.array_equal(
+        SquaredL2(n, lam2).prox(v, alpha), v / (1.0 + 2.0 * alpha * lam2)
+    )
+    assert np.array_equal(Zero(n).prox(v, alpha), v)
+    assert L1(n, lam1).value(v) == float(lam1 * np.sum(np.abs(v)))
+    assert SquaredL2(n, lam2).value(v) == float(lam2 * np.sum(v * v))
+    assert Zero(n).value(v) == 0.0
+    # Only a squared-norm term needs the radius of a ball.
+    assert L1(n, lam1).subgradient_bound() == lam1 * math.sqrt(n)
+    assert SquaredL2(n, lam2).subgradient_bound(7.0) == 2.0 * lam2 * 7.0
+    assert Zero(n).subgradient_bound() == 0.0
+
+
 def test_subgradient_bound_by_sampling() -> None:
     # Sampled elastic-net subgradients on the ball ||x|| <= R never exceed
     # the reported bound.
