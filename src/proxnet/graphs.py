@@ -6,11 +6,19 @@ consecutive slots starting at ``slots_before(k) = k(k-1)/2``, so after T
 iterations exactly T(T+1)/2 slots have been used.  The effective mixing
 weights of iteration k are the ordered product of its k slot matrices,
 computed by :func:`consensus_weights`.
+
+The convergence analysis assumes that every B consecutive slots connect
+all agents and that every positive weight is at least a floor eta.
+:func:`validate_schedule` checks the first.  The floor needs no check: a
+schedule does not declare it but derives it from its own matrices, as the
+smallest positive entry of a periodic schedule and as 1/m for the
+Metropolis slots of a random schedule, so it holds by construction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +128,11 @@ def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
 class Schedule:
     """Base class mapping slot indices to weight matrices.
 
-    Subclasses implement :meth:`matrix`.
+    Subclasses implement :meth:`matrix`.  A schedule whose slots repeat
+    sets ``period``; validation then reads one period of windows.
     """
+
+    period: int | None = None
 
     def __init__(self, m: int, eta: float, B: int) -> None:
         if m < 1:
@@ -264,67 +275,27 @@ def schedule_from_matrices(matrices, B: int) -> PeriodicSchedule:
     )
 
 
-def transition_matrix(schedule: Schedule, t: int, s: int) -> np.ndarray:
-    """Ordered product A(t) A(t-1) ... A(s) of slot matrices.
-
-    The product of doubly stochastic matrices is doubly stochastic, so the
-    result preserves both row and column sums.
-    """
-    if s < 0:
-        raise ValueError(f"slot index must be >= 0, got s={s}")
-    if t < s:
-        raise ValueError(f"need t >= s, got t={t} < s={s}")
-    product = schedule.matrix(s).w.copy()
-    for u in range(s + 1, t + 1):
-        product = schedule.matrix(u).w @ product
-    return product
-
-
 def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
     """Effective mixing matrix of iteration k.
 
     Iteration k consumes slots slots_before(k) .. slots_before(k) + k - 1
-    and mixes with the ordered product of those k matrices.
+    and mixes with the ordered product A(t) ... A(s) of those k matrices:
+    later slots multiply on the left.  A product of doubly stochastic
+    matrices is doubly stochastic.
     """
     start = slots_before(k)
-    return transition_matrix(schedule, start + k - 1, start)
+    product = schedule.matrix(start).w.copy()
+    for t in range(start + 1, start + k):
+        product = schedule.matrix(t).w @ product
+    return product
 
 
-@dataclass
-class ScheduleReport:
-    """Validation outcome over a slot horizon."""
-
-    horizon: int
-    B: int
-    floor_failures: list[int]
-    disconnected_windows: list[int]
-
-    @property
-    def valid(self) -> bool:
-        return not (self.floor_failures or self.disconnected_windows)
-
-    def summary(self) -> str:
-        if self.valid:
-            return (
-                f"valid over {self.horizon} slots "
-                f"(window connectivity with B={self.B})"
-            )
-        parts = []
-        if self.floor_failures:
-            parts.append(f"weight floor fails at slots {self.floor_failures[:10]}")
-        if self.disconnected_windows:
-            parts.append(
-                f"disconnected windows starting at {self.disconnected_windows[:10]}"
-            )
-        return "; ".join(parts)
+class DisconnectedSchedule(ValueError):
+    """Some window of B consecutive slots does not connect every agent."""
 
 
-def _union_connected(masks: list[np.ndarray]) -> bool:
-    union = masks[0].copy()
-    for mask in masks[1:]:
-        union |= mask
-    m = union.shape[0]
-    seen = np.zeros(m, dtype=bool)
+def _connected(union: np.ndarray) -> bool:
+    seen = np.zeros(union.shape[0], dtype=bool)
     seen[0] = True
     stack = [0]
     while stack:
@@ -336,40 +307,37 @@ def _union_connected(masks: list[np.ndarray]) -> bool:
     return bool(seen.all())
 
 
-def validate_schedule(schedule: Schedule, horizon: int) -> ScheduleReport:
-    """Check the weight floor and window connectivity.
+def validate_schedule(schedule: Schedule, horizon: int) -> None:
+    """Check window connectivity over the slots [0, horizon).
 
-    Examines every slot t in [0, horizon) and every window of B
-    consecutive slots inside the horizon.  Failures are reported rather
-    than raised; the overall verdict is their conjunction.  Symmetry and
-    double stochasticity need no check here: every slot matrix is an
-    AdjacencyMatrix, which enforces both when it is built and is read-only.
+    Every window of B consecutive slots inside the horizon must connect all
+    agents.  A periodic schedule repeats its windows, so only the first
+    min(horizon - B + 1, period) window starts are examined, reading at
+    most period + B - 1 slots whatever the horizon.  Raises
+    DisconnectedSchedule at the first window that fails.
+
+    Nothing else needs a check here.  Every slot matrix is an
+    AdjacencyMatrix, which enforces symmetry and double stochasticity when
+    it is built and is read-only.  The weight floor eta is not declared but
+    derived: the smallest positive entry of a periodic schedule's matrices,
+    and 1/m for the Metropolis slots of a random schedule.
     """
-    if horizon < schedule.B:
+    B = schedule.B
+    if horizon < B:
         raise ValueError(
-            f"horizon {horizon} is shorter than the connectivity window "
-            f"B={schedule.B}"
+            f"horizon {horizon} is shorter than the connectivity window B={B}"
         )
-    floor_bad: list[int] = []
-    disconnected: list[int] = []
-    edge_masks: list[np.ndarray] = []
-    for t in range(horizon):
-        w = schedule.matrix(t).w
-        positive = w[w > 0]
-        if positive.size and float(positive.min()) < schedule.eta - 1e-12:
-            floor_bad.append(t)
-        off_diag = w.copy()
-        np.fill_diagonal(off_diag, 0.0)
-        edge_masks.append(off_diag > 0)
-    for start in range(horizon - schedule.B + 1):
-        if not _union_connected(edge_masks[start : start + schedule.B]):
-            disconnected.append(start)
-    return ScheduleReport(
-        horizon=horizon,
-        B=schedule.B,
-        floor_failures=floor_bad,
-        disconnected_windows=disconnected,
-    )
+    starts = horizon - B + 1
+    if schedule.period is not None:
+        starts = min(starts, schedule.period)
+    window: deque[np.ndarray] = deque(maxlen=B)
+    for t in range(starts + B - 1):
+        window.append(schedule.matrix(t).w > 0)
+        if len(window) == B and not _connected(np.logical_or.reduce(window)):
+            raise DisconnectedSchedule(
+                f"disconnected schedule window: the B={B} slots starting at "
+                f"slot {t - B + 1} do not connect all {schedule.m} agents"
+            )
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,7 @@ def run(setup: RunSetup) -> RunTrace:
 
     T = setup.max_iter
     horizon = max(slots_before(T + 1) if T > 0 else 0, setup.schedule.B)
-    report = validate_schedule(setup.schedule, horizon)
-    if not report.valid:
-        raise ValueError(f"schedule failed validation: {report.summary()}")
+    validate_schedule(setup.schedule, horizon)
 
     geo = (
         geometric_constants(m, setup.schedule.B, setup.schedule.eta)

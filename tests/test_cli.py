@@ -41,7 +41,6 @@ reg.lo = -0.5
 reg.hi = 0.75
 graph.kind = random
 graph.m = 5
-graph.eta = 0.125
 graph.B = 3
 graph.seed = 42
 algo.alpha = 0.05
@@ -111,6 +110,7 @@ def test_config_auto_alpha_round_trips():
         ("algo.early_stop = maybe\n", "bad value", 3),
         ("reg.lambda1 = 1\n", "unknown key", 3),
         ("graph.period = 2\n", "unknown key", 3),
+        ("graph.eta = 0.1\n", "unknown key", 3),
     ],
 )
 def test_config_parse_errors_carry_line_numbers(text, fragment, line):
@@ -173,8 +173,6 @@ def test_build_schedule_rejects_bad_requests():
         build_schedule(parse_config("graph.kind = random\n"))
     with pytest.raises(ConfigError, match="graph.path"):
         build_schedule(parse_config("graph.kind = file\n"))
-    with pytest.raises(ConfigError, match="graph.eta"):
-        build_schedule(parse_config("graph.kind = ring\ngraph.eta = 1.5\n"))
 
 
 def test_build_schedule_from_matrix_file(tmp_path):
@@ -187,11 +185,6 @@ def test_build_schedule_from_matrix_file(tmp_path):
     cfg.graph_m = 4
     with pytest.raises(ConfigError, match="graph.m"):
         build_schedule(cfg)
-
-
-def test_build_schedule_eta_override():
-    cfg = parse_config("graph.kind = complete\ngraph.m = 4\ngraph.eta = 0.1\n")
-    assert build_schedule(cfg).eta == 0.1
 
 
 def test_build_problem_quadratic_defaults():
@@ -335,6 +328,22 @@ def test_run_reports_schedule_error_before_reading_data(tmp_path, capsys):
     assert cli.main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert "graph.B" in err and "data file" not in err
+
+
+def test_run_reports_disconnected_schedule(tmp_path, capsys):
+    # Agent 2 has no edge in the file's only matrix, so the very first
+    # window is disconnected; run stops before iterating, with exit 2.
+    matrix = tmp_path / "isolated.txt"
+    matrix.write_text("0.5 0.5 0\n0.5 0.5 0\n0 0 1\n")
+    conf = tmp_path / "lonely.conf"
+    conf.write_text(
+        f"problem.kind = quadratic\ngraph.kind = file\ngraph.m = 3\n"
+        f"graph.path = {matrix}\noutput.trace = {tmp_path / 'never.csv'}\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert "schedule error" in err and "slot 0" in err
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_run_with_overflowing_geometric_constants(tmp_path, capsys):

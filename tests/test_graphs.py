@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from proxnet.graphs import (
     AdjacencyMatrix,
+    DisconnectedSchedule,
     PeriodicSchedule,
     RandomSchedule,
     complete_schedule,
@@ -15,7 +16,6 @@ from proxnet.graphs import (
     ring_schedule,
     schedule_from_matrices,
     slots_before,
-    transition_matrix,
     validate_schedule,
 )
 
@@ -150,7 +150,7 @@ def test_ring_matchings_weights_are_dyadic() -> None:
     for t in (0, 1):
         w = sched.matrix(t).w
         assert set(np.unique(w)) <= {0.0, 0.5, 1.0}
-    product = transition_matrix(sched, 7, 0)
+    product = consensus_weights(sched, 8)
     assert np.array_equal(product @ np.ones(10), np.ones(10))
 
 
@@ -173,17 +173,17 @@ def test_periodic_schedule_rejects_mixed_sizes() -> None:
         PeriodicSchedule([a, b], B=1)
 
 
-def test_transition_matrix_order() -> None:
-    # Later slots multiply on the left: Phi(1, 0) = A(1) A(0).
+def test_consensus_weights_multiply_later_slots_on_the_left() -> None:
+    # Iteration 3 consumes slots 3, 4, 5 = b, a, b.  The product is built
+    # as b (a b), in that order, so it matches bit for bit; a and b do not
+    # commute, so the reverse order gives a different matrix.
     a = metropolis_weights([(0, 1)], 3)
     b = metropolis_weights([(1, 2)], 3)
     sched = PeriodicSchedule([a, b], B=2)
-    assert transition_matrix(sched, 0, 0) == pytest.approx(a.w)
-    assert transition_matrix(sched, 1, 0) == pytest.approx(b.w @ a.w)
-    with pytest.raises(ValueError):
-        transition_matrix(sched, 0, 1)
-    with pytest.raises(ValueError):
-        transition_matrix(sched, 1, -1)
+    assert np.array_equal(consensus_weights(sched, 3), b.w @ (a.w @ b.w))
+    assert not np.allclose(consensus_weights(sched, 2), b.w @ a.w)
+    first = consensus_weights(sched, 1)
+    assert np.array_equal(first, a.w) and first.flags.writeable
 
 
 def test_consensus_weights_slot_window() -> None:
@@ -262,11 +262,32 @@ def test_random_schedule_reproducible() -> None:
     )
 
 
+def _first_disconnected_window(sched, horizon):
+    """Start of the first B-window in [0, horizon) whose edge union is
+    disconnected, by breadth-first search over every window; None if all
+    are connected."""
+    for start in range(horizon - sched.B + 1):
+        edges = [
+            edge
+            for t in range(start, start + sched.B)
+            for edge in sched.matrix(t).edges()
+        ]
+        if not bfs_connected(sched.m, edges):
+            return start
+    return None
+
+
+def _assert_weight_floor(sched, horizon):
+    for t in range(horizon):
+        w = sched.matrix(t).w
+        assert w[w > 0].min() >= sched.eta - 1e-12, t
+
+
 def test_random_schedule_windows_connected() -> None:
     sched = RandomSchedule(m=8, B=4, seed=0)
-    report = validate_schedule(sched, horizon=40)
-    assert report.valid
-    assert report.summary().startswith("valid")
+    assert _first_disconnected_window(sched, 40) is None
+    _assert_weight_floor(sched, 40)
+    validate_schedule(sched, horizon=40)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,25 +298,67 @@ def test_random_schedule_windows_connected() -> None:
 )
 def test_random_schedule_every_sliding_window_connected(seed, m, B) -> None:
     # Aligned and sliding B-windows each hold exactly one tree slot.
-    report = validate_schedule(RandomSchedule(m=m, B=B, seed=seed), horizon=12 * B)
-    assert report.valid, report.summary()
+    sched = RandomSchedule(m=m, B=B, seed=seed)
+    assert _first_disconnected_window(sched, 12 * B) is None
+    _assert_weight_floor(sched, 12 * B)
+    validate_schedule(sched, horizon=12 * B)
 
 
 def test_validate_schedule_flags_disconnection() -> None:
     # Two components {0,1} and {2,3} never talk to each other.
     adj = metropolis_weights([(0, 1), (2, 3)], 4)
-    report = validate_schedule(PeriodicSchedule([adj], B=1), horizon=6)
-    assert not report.valid
-    assert report.disconnected_windows == list(range(6))
-    assert "disconnected" in report.summary()
+    with pytest.raises(DisconnectedSchedule, match="slot 0"):
+        validate_schedule(PeriodicSchedule([adj], B=1), horizon=6)
 
 
-def test_validate_schedule_flags_floor_violation() -> None:
-    sched = ring_schedule(4)
-    sched.eta = 0.9  # claim a floor the weights do not meet
-    report = validate_schedule(sched, horizon=4)
-    assert report.floor_failures == list(range(4))
-    assert not report.valid
+def test_validate_schedule_checks_the_wrap_around_window() -> None:
+    # Windows (0, 1) and (1, 2) are paths; only (2, 0), which crosses the
+    # end of the period, misses the edge (1, 2).
+    a = metropolis_weights([(0, 1)], 3)
+    b = metropolis_weights([(1, 2)], 3)
+    sched = PeriodicSchedule([a, b, a], B=2)
+    assert _first_disconnected_window(sched, 100) == 2
+    validate_schedule(sched, horizon=3)
+    with pytest.raises(DisconnectedSchedule, match="slot 2"):
+        validate_schedule(sched, horizon=100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(2, 5),
+    period=st.integers(1, 4),
+    B=st.integers(1, 4),
+)
+def test_validate_schedule_agrees_with_the_horizon_walk(data, m, period, B) -> None:
+    # The verdict over one period of windows must match breadth-first
+    # search over every window of the horizon.
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    subsets = st.lists(st.sampled_from(pairs), unique=True)
+    sched = PeriodicSchedule(
+        [metropolis_weights(data.draw(subsets), m) for _ in range(period)], B=B
+    )
+    horizon = data.draw(st.integers(B, 3 * period + B))
+    first_bad = _first_disconnected_window(sched, horizon)
+    if first_bad is None:
+        validate_schedule(sched, horizon)
+    else:
+        with pytest.raises(DisconnectedSchedule, match=f"slot {first_bad} "):
+            validate_schedule(sched, horizon)
+
+
+def test_validate_schedule_reads_one_period_of_windows(monkeypatch) -> None:
+    sched = ring_matchings_schedule(10)
+    lookup = sched.matrix
+    seen = []
+
+    def spy(t):
+        seen.append(t)
+        return lookup(t)
+
+    monkeypatch.setattr(sched, "matrix", spy)
+    validate_schedule(sched, horizon=45_150)
+    assert len(seen) <= 3  # period + B - 1
 
 
 def test_validate_schedule_rejects_short_horizon() -> None:
@@ -318,7 +381,7 @@ def test_matrix_file_round_trip(tmp_path) -> None:
     assert np.array_equal(loaded[1], b)
     sched = schedule_from_matrices(loaded, B=2)
     assert sched.m == 3
-    assert validate_schedule(sched, horizon=8).valid
+    validate_schedule(sched, horizon=8)
 
 
 def test_schedule_from_matrices_rejects_bad_input() -> None:
