@@ -183,7 +183,9 @@ class RandomSchedule(Schedule):
         super().__init__(m, 1.0 / m, B)
         self.seed = seed
         self.edge_prob = edge_prob
-        self._windows: dict[int, list[AdjacencyMatrix]] = {}
+        # Only the window built last is kept: slots are read in increasing
+        # order, and any window can be rebuilt from its seed.
+        self._window: tuple[int, list[AdjacencyMatrix]] | None = None
 
     def _build_window(self, window: int) -> list[AdjacencyMatrix]:
         rng = np.random.default_rng([self.seed, window])
@@ -206,9 +208,9 @@ class RandomSchedule(Schedule):
         if t < 0:
             raise ValueError(f"slot index must be >= 0, got {t}")
         window, pos = divmod(t, self.B)
-        if window not in self._windows:
-            self._windows[window] = self._build_window(window)
-        return self._windows[window][pos]
+        if self._window is None or self._window[0] != window:
+            self._window = (window, self._build_window(window))
+        return self._window[1][pos]
 
 
 def complete_schedule(m: int, B: int = 1) -> PeriodicSchedule:

@@ -4,8 +4,9 @@ Everything in this module is deliberately written from scratch, without
 calling into the package under test, so that expected values in the test
 suite come from a second computational route: golden-section search for
 one-dimensional proximal points, central finite differences for gradients,
-breadth-first search for connectivity, and a plain centralized proximal
-gradient loop for reference minimizers.
+breadth-first search for connectivity, a plain centralized proximal
+gradient loop for reference minimizers, and a token-by-token LIBSVM
+reader.
 """
 
 from __future__ import annotations
@@ -111,3 +112,77 @@ def centralized_prox_gradient(
             return x_new
         x = x_new
     raise AssertionError("reference proximal gradient loop did not converge")
+
+
+_LIBSVM_LABEL_FAMILIES = (
+    ({-1.0, 1.0}, {-1.0: -1.0, 1.0: 1.0}),
+    ({0.0, 1.0}, {0.0: -1.0, 1.0: 1.0}),
+    ({1.0, 2.0}, {1.0: -1.0, 2.0: 1.0}),
+)
+
+
+def parse_libsvm_by_token(source, n_features: int | None = None):
+    """(features, labels) of LIBSVM text, one Python token at a time.
+
+    Same grammar, label normalization and error messages as the package's
+    block parser; the arrays still go through Dataset's own checks there.
+    """
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = list(source)
+    raw_labels: list[float] = []
+    rows: list[list[tuple[int, float]]] = []
+    max_index = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        entries: list[tuple[int, float]] = []
+        prev = 0
+        for token in tokens[1:]:
+            idx_str, sep, val_str = token.partition(":")
+            if not sep:
+                raise ValueError(f"line {lineno}: expected idx:val, got {token!r}")
+            try:
+                idx = int(idx_str)
+                val = float(val_str)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad feature {token!r}") from None
+            if idx < 1:
+                raise ValueError(f"line {lineno}: index {idx} is not 1-based")
+            if idx <= prev:
+                raise ValueError(
+                    f"line {lineno}: index {idx} not strictly increasing"
+                )
+            prev = idx
+            entries.append((idx, val))
+        max_index = max(max_index, prev)
+        raw_labels.append(label)
+        rows.append(entries)
+    if not rows:
+        raise ValueError("no samples found")
+
+    seen = set(raw_labels)
+    for family, mapping in _LIBSVM_LABEL_FAMILIES:
+        if seen <= family:
+            labels = np.array([mapping[l] for l in raw_labels])
+            break
+    else:
+        raise ValueError(f"label set {sorted(seen)} is not a supported binary family")
+
+    n = n_features if n_features is not None else max_index
+    if n < 1:
+        raise ValueError("cannot infer feature dimension: no features present")
+    if max_index > n:
+        raise ValueError(f"feature index {max_index} exceeds declared dimension {n}")
+    features = np.zeros((len(rows), n))
+    for row, entries in zip(features, rows):
+        for idx, val in entries:
+            row[idx - 1] = val
+    return features, labels

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +262,25 @@ def test_random_schedule_reproducible() -> None:
     assert any(
         not np.array_equal(one.matrix(t).w, other.matrix(t).w) for t in range(12)
     )
+
+
+def _live_adjacency_matrices() -> int:
+    gc.collect()
+    return sum(type(obj) is AdjacencyMatrix for obj in gc.get_objects())
+
+
+def test_random_schedule_holds_one_window() -> None:
+    sched = RandomSchedule(m=10, B=3, seed=0)
+    before = [sched.matrix(t) for t in range(6)]
+    held = _live_adjacency_matrices()
+    validate_schedule(sched, horizon=3_000)
+    assert _live_adjacency_matrices() - held <= sched.B
+    # Slots read again after the walk, late and early, are rebuilt unchanged.
+    slots = [*range(6), *range(2_994, 3_000), *range(6)]
+    after = [sched.matrix(t) for t in slots[6:]]
+    fresh = RandomSchedule(m=10, B=3, seed=0)
+    for adj, t in zip(before + after, slots):
+        assert adj.w.tobytes() == fresh.matrix(t).w.tobytes()
 
 
 def _first_disconnected_window(sched, horizon):

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from proxnet import objectives
 from proxnet.objectives import (
     Dataset,
     Quadratic,
@@ -18,7 +21,7 @@ from proxnet.objectives import (
     synthetic_classification,
 )
 
-from oracles import central_difference
+from oracles import central_difference, parse_libsvm_by_token
 
 
 def _tiny_shard() -> Dataset:
@@ -75,6 +78,170 @@ def test_parse_dimension_override() -> None:
         parse_libsvm("")
     with pytest.raises(ValueError, match="dimension"):
         parse_libsvm("+1\n-1\n")
+
+
+def _outcome(parse, source, n_features):
+    """Bytes and shape of the parsed arrays, or the ValueError's message."""
+    try:
+        data = parse(source, n_features)
+    except ValueError as exc:
+        return str(exc)
+    return data.features.shape, data.features.tobytes(), data.labels.tobytes()
+
+
+def _by_token(source, n_features):
+    return Dataset(*parse_libsvm_by_token(source, n_features))
+
+
+def _assert_parses_like_token_loop(source, n_features=None) -> None:
+    assert _outcome(parse_libsvm, source, n_features) == _outcome(
+        _by_token, source, n_features
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+1 1:2:3 4",
+        "+1 1: 2",
+        "+1 1 :2",
+        "+1 1 : 2",
+        "+1 :1",
+        "+1 1:",
+        "+1 1:1 : 2:2",
+        "+1 1:1 2",
+        "1:1 2:2",
+        "+1 1:1\n-1 2:1 2:1\n+1 x",
+        "+1 3:1 2:1\n+1 0:1",
+        "+1 1:0x1",
+        "+1 1_0:1_0.5 11:-0 12:1e999",
+        "+1 1:nan",
+        "\n\n  \t\n",
+        "+1\n-1",
+        # Indices past int64 are well formed; the errors after the parse
+        # decide, in the same order as before.
+        "+1 99999999999999999999:1",
+        "+1 99999999999999999999:1\n-1 1:1 x",
+        "+1 9223372036854775808:1\n3 1:1",
+    ],
+)
+@pytest.mark.parametrize("n_features", [None, 5])
+def test_parse_matches_token_loop_on_edge_cases(text, n_features) -> None:
+    _assert_parses_like_token_loop(text, n_features)
+
+
+def _rows(count: int) -> list[str]:
+    return [
+        f"{'+1' if i % 3 else '-1'} {i % 5 + 1}:{i * 0.25!r} 7:{-i}"
+        for i in range(count)
+    ]
+
+
+def _with(lines: list[str], changes: dict[int, str]) -> str:
+    lines = list(lines)
+    for position, line in changes.items():
+        lines[position] = line
+    return "\n".join(lines) + "\n"
+
+
+BLOCK = objectives._BLOCK_LINES
+
+
+@pytest.mark.parametrize(
+    "text, samples",
+    [
+        (_with(_rows(BLOCK), {}), BLOCK),
+        (_with(_rows(BLOCK + 1), {}), BLOCK + 1),
+        (_with(_rows(2 * BLOCK), {BLOCK - 1: ""}), 2 * BLOCK - 1),
+        (_with(_rows(2 * BLOCK), {BLOCK: " \t"}), 2 * BLOCK - 1),
+        (_with(_rows(2 * BLOCK), {BLOCK - 1: "-1", BLOCK: "+1"}), 2 * BLOCK),
+    ],
+    ids=[
+        "one block",
+        "one block plus one line",
+        "blank line ends a block",
+        "blank line starts a block",
+        "label-only lines meet at a block boundary",
+    ],
+)
+def test_parse_across_block_boundaries(text, samples) -> None:
+    data = parse_libsvm(text)
+    assert data.count == samples
+    _assert_parses_like_token_loop(text)
+    _assert_parses_like_token_loop(text, 9)
+
+
+def test_parse_error_lines_are_numbered_in_the_whole_file() -> None:
+    text = _with(_rows(BLOCK + 3), {BLOCK: "+1 2:1 2:1"})
+    with pytest.raises(ValueError, match=f"^line {BLOCK + 1}: index 2 not strictly"):
+        parse_libsvm(text)
+    text = _with(_rows(BLOCK + 3), {BLOCK - 1: "+1 0:1"})
+    with pytest.raises(ValueError, match=f"^line {BLOCK}: index 0 is not 1-based"):
+        parse_libsvm(text)
+
+
+# Fuzzed tokens are at most five characters, so an index stays below 10^5
+# and a dense matrix of unset dimension stays small.
+_FUZZ_TOKENS = st.text("0123456789:.+-ex", min_size=1, max_size=5) | st.lists(
+    st.sampled_from(["", "1", "2", "0.5", "x"]), min_size=1, max_size=3
+).map(":".join).filter(bool)
+_SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+_LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", "\r"])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# Listed twice so that most values are finite and more texts parse.
+_VALUES = st.one_of(
+    _FLOATS,
+    _FLOATS,
+    st.sampled_from(["1_0", "+.5", "-.5E-3", "-0", "7", "1e-320", "١", "1e999"]),
+)
+_LABEL_PAIRS = st.sampled_from(
+    [("+1", "-1"), ("1", "0"), ("2", "1.0"), ("1", "-1e0"), ("1", "-0")]
+)
+
+
+@st.composite
+def _feature(draw, idx: int) -> str:
+    form = draw(st.sampled_from(["{}", "+{}", "0{}"]))
+    return form.format(idx) + ":" + draw(_VALUES)
+
+
+@st.composite
+def _line(draw, labels: tuple[str, str], dirty: bool) -> str:
+    """A well-formed row, a row with fuzzed tokens mixed in, or pure fuzz."""
+    kind = draw(st.sampled_from(["row", "mixed", "fuzz"] if dirty else ["row"]))
+    if kind == "fuzz":
+        tokens = draw(st.lists(_FUZZ_TOKENS, min_size=1, max_size=6))
+    else:
+        indices = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+        tokens = [draw(st.sampled_from(labels))]
+        tokens += [draw(_feature(idx)) for idx in indices]
+        for _ in range(draw(st.integers(1, 2)) if kind == "mixed" else 0):
+            tokens.insert(draw(st.integers(1, len(tokens))), draw(_FUZZ_TOKENS))
+    return "".join(draw(_SPACES) + token for token in tokens) + draw(
+        st.sampled_from(["", " ", "\t"])
+    )
+
+
+@st.composite
+def _libsvm_texts(draw) -> str:
+    labels = draw(_LABEL_PAIRS)
+    lines = draw(st.lists(_line(labels, draw(st.booleans())), max_size=8))
+    text = "".join(line + draw(_LINE_BREAKS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_libsvm_texts(),
+    n_features=st.none() | st.integers(0, 14),
+    as_lines=st.booleans(),
+    block=st.sampled_from([1, 2, 3, BLOCK]),
+)
+def test_parse_matches_token_loop(text, n_features, as_lines, block) -> None:
+    # Small blocks put block boundaries inside these short texts.
+    source = text.splitlines(keepends=True) if as_lines else text
+    with mock.patch.object(objectives, "_BLOCK_LINES", block):
+        _assert_parses_like_token_loop(source, n_features)
 
 
 def test_serialize_round_trip() -> None:
