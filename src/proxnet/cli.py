@@ -42,7 +42,7 @@ from .objectives import (
     shard,
     subsample,
 )
-from .regularizers import ElasticNet, L1, Zero, make_regularizer
+from .regularizers import make_regularizer
 from .solver import NumericalFault, RunSetup, StepSizeError, run
 
 PROX_CHECK_TOLERANCE = 1e-6
@@ -180,6 +180,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("penalty weights must be nonnegative")
     if cfg.graph_m < 1:
         raise ConfigError(f"graph.m must be >= 1, got {cfg.graph_m}")
+    if cfg.graph_b is not None and cfg.graph_b < 1:
+        raise ConfigError(f"graph.B must be >= 1, got {cfg.graph_b}")
     if cfg.max_iter < 0:
         raise ConfigError(f"algo.max_iter must be >= 0, got {cfg.max_iter}")
     if cfg.snapshot_every < 1:
@@ -190,8 +192,17 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"problem.n must be >= 1, got {cfg.problem_n}")
     if isinstance(cfg.alpha, float) and not cfg.alpha > 0:
         raise ConfigError(f"algo.alpha must be positive, got {cfg.alpha}")
-    if not cfg.safety > 0:
-        raise ConfigError(f"algo.safety must be positive, got {cfg.safety}")
+    if not 0 < cfg.safety < 1:
+        raise ConfigError(f"algo.safety must be in (0, 1), got {cfg.safety}")
+    if (
+        cfg.problem_kind == "sigmoid"
+        and cfg.reg_split == "g-carries-l2"
+        and cfg.reg_kind in ("elastic-net", "squared-l2")
+    ):
+        raise ConfigError(
+            f"reg.kind = {cfg.reg_kind} puts lambda2 ||x||^2 in h, but "
+            "problem.reg_split = g-carries-l2 already puts it in the smooth part"
+        )
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -306,20 +317,20 @@ def build_problem(cfg: ExperimentConfig):
         n = dataset.n
         if cfg.reg_split == "g-carries-l2":
             objectives = [WithSquaredL2(obj, cfg.lambda2) for obj in objectives]
-            regularizer = L1(n, lam1=cfg.lambda1)
+            default_kind = "l1"
         else:
-            regularizer = ElasticNet(n, lam1=cfg.lambda1, lam2=cfg.lambda2)
+            default_kind = "elastic-net"
     else:
         n = cfg.problem_n
         objectives = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
-        regularizer = Zero(n)
-    if cfg.reg_kind is not None:
-        try:
-            regularizer = make_regularizer(
-                cfg.reg_kind, n, cfg.lambda1, cfg.lambda2, cfg.reg_lo, cfg.reg_hi
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        default_kind = "zero"
+    kind = cfg.reg_kind or default_kind
+    try:
+        regularizer = make_regularizer(
+            kind, n, cfg.lambda1, cfg.lambda2, cfg.reg_lo, cfg.reg_hi
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return objectives, regularizer, n, provenance
 
 
@@ -355,6 +366,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    _validate_config(cfg)
     # The schedule is cheap to build and the data can take seconds to
     # parse, so schedule errors are reported first.
     schedule = build_schedule(cfg)

@@ -94,18 +94,17 @@ def stationarity_bound(
     e_norm: float,
     alpha: float,
     lipschitz: float,
-    eps_available: bool = True,
 ) -> float:
     """Upper bound on the stationarity residual of the averaged iterate.
 
     (1/alpha + L) ||dx|| + sqrt(2 eps / alpha) + ||e||.  Without a usable
-    eps the middle term is dropped and the bound is partial (still a
+    eps (None) the middle term is dropped and the bound is partial (still a
     valid lower estimate of itself, no longer certified complete).
     """
     if not alpha > 0:
         raise ValueError(f"step size must be positive, got {alpha}")
     bound = (1.0 / alpha + lipschitz) * dx_norm + e_norm
-    if eps_available and eps is not None:
+    if eps is not None:
         bound += math.sqrt(2.0 * eps / alpha)
     return bound
 

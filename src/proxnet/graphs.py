@@ -172,17 +172,17 @@ class RandomSchedule(Schedule):
     """Seeded random schedule that is connected over every window of B slots.
 
     Slot t holds a random spanning tree when t is a multiple of B; the other
-    slots draw independent random edge subsets.  Every run of B consecutive
-    slots, aligned to a multiple of B or not, contains exactly one tree
-    slot, so both window notions are connected by construction.  Identical
-    seeds reproduce identical matrices at every slot.
+    slots keep each possible edge independently with probability 1/4.
+    Every run of B consecutive slots, aligned to a multiple of B or not,
+    contains exactly one tree slot, so both window notions are connected
+    by construction.  Identical seeds reproduce identical matrices at
+    every slot.
     """
 
-    def __init__(self, m: int, B: int, seed: int, edge_prob: float = 0.25) -> None:
+    def __init__(self, m: int, B: int, seed: int) -> None:
         # Metropolis weights never fall below 1/m, see metropolis_weights.
         super().__init__(m, 1.0 / m, B)
         self.seed = seed
-        self.edge_prob = edge_prob
         # Only the window built last is kept: slots are read in increasing
         # order, and any window can be rebuilt from its seed.
         self._window: tuple[int, list[AdjacencyMatrix]] | None = None
@@ -198,7 +198,7 @@ class RandomSchedule(Schedule):
                     for i in range(1, self.m)
                 ]
             else:
-                mask = rng.random((self.m, self.m)) < self.edge_prob
+                mask = rng.random((self.m, self.m)) < 0.25
                 rows, cols = np.nonzero(np.triu(mask, k=1))
                 edges = list(zip(rows.tolist(), cols.tolist()))
             mats.append(metropolis_weights(edges, self.m))

@@ -366,42 +366,29 @@ A9A_GROUP_SIZES = (5, 5, 5, 2, 2, 5, 8, 16, 7, 14, 6, 5, 2, 41)
 
 
 def synthetic_classification(
-    count: int,
-    n: int,
-    seed: int,
-    active_per_sample: int = 14,
-    label_noise: float = 0.1,
-    *,
-    group_sizes: tuple[int, ...] | None = None,
-    signal: float = 0.4,
-    overlap: float = 0.45,
-    positive_fraction: float = 0.24,
+    count: int, n: int, seed: int, *, group_sizes: tuple[int, ...] | None = None
 ) -> Dataset:
     """Grouped one-hot classification data with skewed, overlapping classes.
 
     Features form one-hot blocks: each sample turns on exactly one
     coordinate per group, with within-group frequencies decaying like
     1/rank so a few categories dominate.  Labels threshold a weak planted
-    score (standardized, scaled by signal, blurred by overlap noise) at
-    the quantile that makes a positive_fraction of samples positive, then
-    a label_noise fraction is flipped outright.  That mirrors how encoded
-    census-style sets such as a9a behave: heavy category reuse, roughly a
-    quarter positive, classes that overlap rather than separate, and a
-    minimizer near the origin instead of out where the loss saturates.
+    score (standardized, scaled by 0.4, blurred by noise of scale 0.45) at
+    the quantile that makes 24% of samples positive, then 10% of labels
+    are flipped outright.  That mirrors how encoded census-style sets such
+    as a9a behave: heavy category reuse, roughly a quarter positive,
+    classes that overlap rather than separate, and a minimizer near the
+    origin instead of out where the loss saturates.
 
     group_sizes must sum to n when given; by default the coordinates are
-    split near-evenly into min(active_per_sample, n) groups.  Pass
-    A9A_GROUP_SIZES for the real a9a block widths.  The last feature of
-    sample 0 is pinned on so the dimension survives a file round trip.
+    split near-evenly into min(14, n) groups.  Pass A9A_GROUP_SIZES for
+    the real a9a block widths.  The last feature of sample 0 is pinned on
+    so the dimension survives a file round trip.
     """
     if count < 1 or n < 2:
         raise ValueError(f"need count >= 1 and n >= 2, got ({count}, {n})")
-    if not 0.0 < positive_fraction < 1.0:
-        raise ValueError(f"positive_fraction must be in (0, 1), got {positive_fraction}")
     if group_sizes is None:
-        groups = min(active_per_sample, n)
-        if groups < 1:
-            raise ValueError(f"need active_per_sample >= 1, got {active_per_sample}")
+        groups = min(14, n)
         base, extra = divmod(n, groups)
         sizes = [base + (1 if i < extra else 0) for i in range(groups)]
     else:
@@ -421,11 +408,11 @@ def synthetic_classification(
     planted = rng.standard_normal(n)
     raw = features @ planted
     spread = raw.std()
-    z = signal * (raw - raw.mean()) / spread if spread > 0 else np.zeros(count)
-    score = z + overlap * rng.standard_normal(count)
-    threshold = np.quantile(score, 1.0 - positive_fraction)
+    z = 0.4 * (raw - raw.mean()) / spread if spread > 0 else np.zeros(count)
+    score = z + 0.45 * rng.standard_normal(count)
+    threshold = np.quantile(score, 0.76)
     labels = np.where(score >= threshold, 1.0, -1.0)
-    flips = rng.random(count) < label_noise
+    flips = rng.random(count) < 0.1
     labels[flips] *= -1.0
     return Dataset(features, labels)
 

@@ -242,9 +242,7 @@ def run(setup: RunSetup) -> RunTrace:
         )
         dx = float(np.linalg.norm(x_bar - x_bar_prev))
         e_norm = float(np.linalg.norm(e_vec))
-        residual = diagnostics.stationarity_bound(
-            dx, eps, e_norm, alpha, lipschitz, eps_available=eps_ok
-        )
+        residual = diagnostics.stationarity_bound(dx, eps, e_norm, alpha, lipschitz)
         rate_running += dx * dx
         last_slot = slots_before(k) + k - 1
         f_avg = float(

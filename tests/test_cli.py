@@ -132,6 +132,12 @@ def test_config_parse_errors_carry_line_numbers(text, fragment, line):
         "algo.max_iter = -1\n",
         "algo.init = ones\n",
         "reg.kind = l7\n",
+        "graph.B = 0\n",
+        "algo.safety = 1.0\n",
+        "problem.kind = sigmoid\nproblem.reg_split = g-carries-l2\n"
+        "reg.kind = elastic-net\n",
+        "problem.kind = sigmoid\nproblem.reg_split = g-carries-l2\n"
+        "reg.kind = squared-l2\n",
     ],
 )
 def test_config_validation_rejects(text):
@@ -315,6 +321,11 @@ def test_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(conf), "--alpha", "1.0"]) == 3
     assert "step-size" in capsys.readouterr().err
 
+    # Overrides are checked like the config keys they replace.
+    for flag, value in (("--alpha", "0"), ("--alpha", "-1"), ("--max-iter", "-1")):
+        assert cli.main(["run", "--config", str(conf), flag, value]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 def test_run_reports_schedule_error_before_reading_data(tmp_path, capsys):
     # The schedule is built first, so a bad graph section is reported
@@ -328,6 +339,15 @@ def test_run_reports_schedule_error_before_reading_data(tmp_path, capsys):
     assert cli.main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert "graph.B" in err and "data file" not in err
+
+
+def test_run_rejects_overrides_before_reading_data(tmp_path, capsys):
+    (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n")
+    assert cli.main(["run", "--config", str(conf), "--max-iter", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "algo.max_iter" in err and "data file" not in err
 
 
 def test_run_reports_disconnected_schedule(tmp_path, capsys):

@@ -171,7 +171,7 @@ def test_stationarity_bound_examples() -> None:
     ) == pytest.approx(0.2)
     # Partial bound drops the eps term.
     assert stationarity_bound(
-        0.01, None, 0.002, alpha=0.1, lipschitz=1.0, eps_available=False
+        0.01, None, 0.002, alpha=0.1, lipschitz=1.0
     ) == pytest.approx(0.112)
 
 

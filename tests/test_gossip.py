@@ -4,10 +4,10 @@ import pytest
 from proxnet.gossip import (
     ReplayReport,
     gossip_rounds,
-    iter_slot_messages,
     replay_check,
 )
 from proxnet.graphs import (
+    AdjacencyMatrix,
     PeriodicSchedule,
     RandomSchedule,
     complete_schedule,
@@ -41,20 +41,15 @@ def _small_run(T: int = 8, snapshot_every: int = 1) -> tuple:
 def test_one_round_complete_graph_averages() -> None:
     sched = complete_schedule(4)
     values = np.array([[4.0], [0.0], [2.0], [6.0]])
-    mixed, log = gossip_rounds(values, sched, start_slot=0, rounds=1)
+    mixed = gossip_rounds(values, sched, start_slot=0, rounds=1)
     assert mixed == pytest.approx(np.full((4, 1), 3.0))
-    assert log.records[0].messages == 4 * 3
-    assert log.records[0].self_updates == 4
-    assert log.cumulative_slots == 1
 
 
 def test_edgeless_graph_moves_nothing() -> None:
     sched = PeriodicSchedule([metropolis_weights([], 3)], B=1)
     values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    mixed, log = gossip_rounds(values, sched, start_slot=0, rounds=5)
+    mixed = gossip_rounds(values, sched, start_slot=0, rounds=5)
     assert np.array_equal(mixed, values)
-    assert log.total_messages == 0
-    assert all(record.self_updates == 3 for record in log.records)
 
 
 def test_two_rounds_match_hand_product() -> None:
@@ -63,31 +58,27 @@ def test_two_rounds_match_hand_product() -> None:
     sched = PeriodicSchedule([a, b], B=2)
     rng = np.random.default_rng(2)
     values = rng.standard_normal((3, 4))
-    mixed, _ = gossip_rounds(values, sched, start_slot=0, rounds=2)
+    mixed = gossip_rounds(values, sched, start_slot=0, rounds=2)
     assert np.max(np.abs(mixed - b.w @ (a.w @ values))) <= 1e-9
 
 
-def test_message_counts_match_edges() -> None:
-    sched = RandomSchedule(m=6, B=3, seed=5)
-    values = np.random.default_rng(0).standard_normal((6, 2))
-    _, log = gossip_rounds(values, sched, start_slot=0, rounds=9)
-    for record in log.records:
-        edges = sched.matrix(record.slot).edges()
-        assert record.messages == 2 * len(edges)
-        assert record.self_updates == 6
-    assert int(log.sent_per_agent.sum()) == log.total_messages
-    assert np.array_equal(log.scalars_per_agent, log.sent_per_agent * 2)
-
-
-def test_iter_slot_messages_yields_directed_edges() -> None:
-    adj = metropolis_weights([(0, 1), (1, 2)], 3)
-    values = np.arange(6.0).reshape(3, 2)
-    messages = list(iter_slot_messages(adj, slot=7, values=values))
-    pairs = {(msg.sender, msg.receiver) for msg in messages}
-    assert pairs == {(0, 1), (1, 0), (1, 2), (2, 1)}
-    assert all(msg.slot == 7 for msg in messages)
-    for msg in messages:
-        assert np.array_equal(msg.payload, values[msg.sender])
+def test_round_skips_entries_at_or_below_zero() -> None:
+    # A supplied matrix may hold entries down to -tol; such a pair is no
+    # edge, so it carries no message.  Each receiver adds its senders in
+    # increasing order after its own term, so the sums are exact here.
+    e = 1e-12
+    w = np.array([[0.5 + e, 0.5, -e], [0.5, 0.5, 0.0], [-e, 0.0, 1.0 + e]])
+    sched = PeriodicSchedule([AdjacencyMatrix(w)], B=1)
+    values = np.array([[3.0], [-7.0], [1e6]])
+    mixed = gossip_rounds(values, sched, start_slot=0, rounds=1)
+    expected = np.array(
+        [
+            [w[0, 0] * 3.0 + w[0, 1] * -7.0],
+            [w[1, 1] * -7.0 + w[1, 0] * 3.0],
+            [w[2, 2] * 1e6],
+        ]
+    )
+    assert np.array_equal(mixed, expected)
 
 
 def test_sum_preserved_each_round() -> None:
@@ -96,7 +87,7 @@ def test_sum_preserved_each_round() -> None:
     total = values.sum(axis=0)
     y = values
     for slot in range(10):
-        y, _ = gossip_rounds(y, sched, start_slot=slot, rounds=1)
+        y = gossip_rounds(y, sched, start_slot=slot, rounds=1)
         assert np.max(np.abs(y.sum(axis=0) - total)) <= 1e-10
 
 
@@ -105,10 +96,9 @@ def test_gossip_agrees_with_weight_products() -> None:
     rng = np.random.default_rng(4)
     values = rng.standard_normal((5, 3))
     for k in range(1, 13):
-        mixed, log = gossip_rounds(values, sched, slots_before(k), rounds=k)
+        mixed = gossip_rounds(values, sched, slots_before(k), rounds=k)
         direct = consensus_weights(sched, k) @ values
         assert np.max(np.abs(mixed - direct)) <= 1e-9
-        assert log.cumulative_slots == k * (k + 1) // 2
 
 
 def test_gossip_rejects_bad_arguments() -> None:
