@@ -299,6 +299,9 @@ def build_problem(cfg: ExperimentConfig):
             dataset = parse_libsvm(text, n_features=cfg.data_n_override)
         except ValueError as exc:
             raise ConfigError(f"bad data file {cfg.data_path}: {exc}") from None
+        # Free the text before shard copies the matrix, so it is not part
+        # of the peak.
+        del text
         provenance["samples_total"] = dataset.count
         if cfg.data_subsample is not None:
             if cfg.data_subsample > dataset.count:

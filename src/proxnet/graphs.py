@@ -7,6 +7,17 @@ iterations exactly T(T+1)/2 slots have been used.  The effective mixing
 weights of iteration k are the ordered product of its k slot matrices,
 computed by :func:`consensus_weights`.
 
+On a schedule of period p that product depends only on the phase
+``slots_before(k) % p`` and on k, so the schedule keeps one prefix
+product per phase, at most p matrices, and each iteration extends its
+phase's product by the slots it adds.  T iterations then read at most
+p*T slots (2T - 1 on the period-2 matchings) instead of T(T+1)/2.  The
+extension multiplies the same matrices in the same order as a product
+built from scratch, so traces stay bit for bit the same.  A power of the
+period product would be cheaper still but rounds differently, and near
+consensus the residual bound's eps term is rounding noise, so that
+rounding moves the bound past the reference traces' tolerance.
+
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
 :func:`validate_schedule` checks the first.  The floor needs no check: a
@@ -129,7 +140,8 @@ class Schedule:
     """Base class mapping slot indices to weight matrices.
 
     Subclasses implement :meth:`matrix`.  A schedule whose slots repeat
-    sets ``period``; validation then reads one period of windows.
+    sets ``period``; validation then reads one period of windows, and
+    consensus_weights keeps one prefix product per phase.
     """
 
     period: int | None = None
@@ -142,6 +154,9 @@ class Schedule:
         self.m = m
         self.eta = eta
         self.B = B
+        # phase -> (length, product of that many slots from the phase on),
+        # written by consensus_weights when period is set.
+        self._prefixes: dict[int, tuple[int, np.ndarray]] = {}
 
     def matrix(self, t: int) -> AdjacencyMatrix:
         raise NotImplementedError
@@ -278,18 +293,32 @@ def schedule_from_matrices(matrices, B: int) -> PeriodicSchedule:
 
 
 def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
-    """Effective mixing matrix of iteration k.
+    """Effective mixing matrix of iteration k, as a fresh writable array.
 
     Iteration k consumes slots slots_before(k) .. slots_before(k) + k - 1
     and mixes with the ordered product A(t) ... A(s) of those k matrices:
     later slots multiply on the left.  A product of doubly stochastic
     matrices is doubly stochastic.
+
+    A periodic schedule keeps the product of each phase, slots_before(k) %
+    period, so at most period matrices.  A call extends its phase's
+    product from the stored length to k, or rebuilds it from the phase's
+    first slot when k is shorter; a schedule without a period builds the
+    product from scratch.  Either way the slots are multiplied one at a
+    time in slot order, so the result, and every trace, is the same bit
+    for bit whatever was asked before.  The module docstring says why a
+    matrix power is not used.
     """
     start = slots_before(k)
-    product = schedule.matrix(start).w.copy()
-    for t in range(start + 1, start + k):
+    phase = None if schedule.period is None else start % schedule.period
+    length, product = schedule._prefixes.get(phase, (0, None))
+    if product is None or length > k:
+        length, product = 1, schedule.matrix(start).w
+    for t in range(start + length, start + k):
         product = schedule.matrix(t).w @ product
-    return product
+    if phase is not None:
+        schedule._prefixes[phase] = (k, product)
+    return product.copy()
 
 
 class DisconnectedSchedule(ValueError):

@@ -74,9 +74,10 @@ def iterate(
 ):
     """One full iteration; returns (x_next, q_all, v_all).
 
-    Consumes communication slots slots_before(k) .. slots_before(k)+k-1
-    through their weight product; the message-level execution lives in
-    the gossip module and must agree with this one.
+    Mixes the gradient points with consensus_weights(schedule, k), the
+    ordered product of slots slots_before(k) .. slots_before(k) + k - 1.
+    gossip.gossip_rounds applies the same slots one at a time, and
+    gossip.replay_check holds the two routes within REPLAY_TOLERANCE.
     """
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")

@@ -5,8 +5,8 @@ calling into the package under test, so that expected values in the test
 suite come from a second computational route: golden-section search for
 one-dimensional proximal points, central finite differences for gradients,
 breadth-first search for connectivity, a plain centralized proximal
-gradient loop for reference minimizers, and a token-by-token LIBSVM
-reader.
+gradient loop for reference minimizers, a token-by-token LIBSVM reader,
+and an iteration's mixing matrix multiplied out from scratch.
 """
 
 from __future__ import annotations
@@ -86,6 +86,19 @@ def bfs_connected(m: int, edges) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == m
+
+
+def ordered_product(schedule, k: int) -> np.ndarray:
+    """Mixing matrix of iteration k from its k slot matrices alone.
+
+    Iteration k reads slots k(k-1)/2 .. k(k-1)/2 + k - 1; later slots
+    multiply on the left.
+    """
+    start = k * (k - 1) // 2
+    product = schedule.matrix(start).w.copy()
+    for t in range(start + 1, start + k):
+        product = schedule.matrix(t).w @ product
+    return product
 
 
 def centralized_prox_gradient(

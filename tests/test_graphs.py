@@ -21,7 +21,7 @@ from proxnet.graphs import (
     validate_schedule,
 )
 
-from oracles import bfs_connected
+from oracles import bfs_connected, ordered_product
 
 
 def test_slots_before_triangular() -> None:
@@ -199,6 +199,59 @@ def test_consensus_weights_slot_window() -> None:
     assert consensus_weights(sched, 3) == pytest.approx(b.w @ a.w @ b.w)
     with pytest.raises(ValueError):
         consensus_weights(sched, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(2, 8),
+    period=st.integers(1, 4),
+    ks=st.lists(st.integers(1, 30), min_size=1, max_size=20),
+)
+def test_consensus_weights_match_the_product_from_scratch(data, m, period, ks) -> None:
+    # Any order of k, repeats and shorter k included, gives the oracle's
+    # product bit for bit, and at most one stored product per phase.
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    subsets = st.lists(st.sampled_from(pairs), unique=True)
+    sched = PeriodicSchedule(
+        [metropolis_weights(data.draw(subsets), m) for _ in range(period)], B=1
+    )
+    for k in ks:
+        lam = consensus_weights(sched, k)
+        assert lam.tobytes() == ordered_product(sched, k).tobytes(), k
+        assert len(sched._prefixes) <= period
+        # The caller owns the result; writing to it changes no later call.
+        lam.fill(np.nan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    B=st.integers(1, 4),
+    ks=st.lists(st.integers(1, 25), min_size=1, max_size=10),
+)
+def test_random_schedule_weights_match_the_product_from_scratch(seed, m, B, ks) -> None:
+    sched = RandomSchedule(m=m, B=B, seed=seed)
+    for k in ks:
+        lam = consensus_weights(sched, k)
+        assert lam.tobytes() == ordered_product(sched, k).tobytes(), k
+
+
+def test_consensus_weights_reads_slots_linearly() -> None:
+    class CountingSchedule(PeriodicSchedule):
+        reads = 0
+
+        def matrix(self, t):
+            self.reads += 1
+            return super().matrix(t)
+
+    base = ring_matchings_schedule(10)
+    sched = CountingSchedule([base.matrix(0), base.matrix(1)], B=base.B)
+    for k in range(1, 301):
+        consensus_weights(sched, k)
+    # Products built from scratch read T(T+1)/2 = 45,150 slots.
+    assert sched.reads <= 2 * 300 + 2
 
 
 def test_consensus_weights_stay_doubly_stochastic() -> None:
