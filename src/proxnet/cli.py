@@ -349,7 +349,12 @@ def _resolve_output(path_str: str) -> Path:
     out_dir = os.environ.get("OUTPUT_DIR")
     if out_dir and not path.is_absolute():
         path = Path(out_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise ConfigError(f"output {path} is a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     return path
 
 
@@ -370,9 +375,10 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     _validate_config(cfg)
-    # The schedule is cheap to build and the data can take seconds to
-    # parse, so schedule errors are reported first.
+    # The schedule and the output path are cheap to check and the data can
+    # take seconds to parse, so their errors are reported first.
     schedule = build_schedule(cfg)
+    out_path = _resolve_output(cfg.trace_path)
     objectives, regularizer, n, provenance = build_problem(cfg)
     lipschitz = max(obj.lipschitz() for obj in objectives)
     if cfg.alpha == "auto":
@@ -395,7 +401,6 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     trace = run(setup)
     wall = time.perf_counter() - started
-    out_path = _resolve_output(cfg.trace_path)
     write_trace_csv(trace.rows, out_path)
 
     last = trace.rows[-1]

@@ -3,7 +3,8 @@
 These are omniscient-observer quantities: they read the full network
 state, which is fine in simulation and deliberately not part of the
 distributed protocol.  Everything here is a pure function of snapshots;
-nothing feeds back into the iteration.
+nothing feeds back into the iteration.  The solver makes every row with one
+builder outside its loop; row 0 has no step, so no e, eps or envelope work.
 """
 
 from __future__ import annotations

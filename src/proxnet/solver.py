@@ -5,6 +5,10 @@ with the effective weights of the iteration (k gossip slots at iteration
 k), and every agent applies the shared proximal operator.  The step size
 is constant and must stay strictly below 1/L, where L is the worst local
 gradient Lipschitz constant.
+
+run() is only the iteration loop; one private row builder makes every
+trace row from the iterates before and after a step.  Row 0 is the step
+from init to init, with no q, v or previous row.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 from . import diagnostics
 from .graphs import (
+    GeometricConstants,
     Schedule,
     consensus_weights,
     geometric_constants,
@@ -149,134 +154,120 @@ class RunTrace:
     stopped_early: bool = False
 
 
-def run(setup: RunSetup) -> RunTrace:
-    """Execute the full iteration loop with diagnostics.
+@dataclass(frozen=True)
+class _Observer:
+    """The fixed inputs of a run's certificates; row() makes every trace row."""
 
-    Validates the step size and the schedule up front, then records one
-    metrics row per iteration.  Early stopping (off by default) triggers
-    on the stationarity residual bound.
+    objectives: list
+    reg: Regularizer
+    schedule: Schedule
+    alpha: float
+    lipschitz: float
+    geo: GeometricConstants | None
+    radius: float
+    g_h: float
+
+    def row(self, k, x, x_next, q=None, v=None, prev=None):
+        """Trace row k from the iterates x before and x_next after step k.
+
+        Row 0 is row(0, init, init) with no q, v or previous row: e, the
+        envelope and eps (when supported) read 0, and dx, the residual and
+        the rate come out 0.0 from the general formulas.
+        """
+        x_bar = x_next.mean(axis=0)
+        dx = float(np.linalg.norm(x_bar - x.mean(axis=0)))
+        rate = (0.0 if prev is None else prev.rate_T_times_stat) + dx * dx
+        e_norm, geo_bound, eps = 0.0, 0.0, 0.0 if np.isfinite(self.g_h) else None
+        if q is not None:
+            e_vec = diagnostics.gradient_averaging_error(x, self.objectives)
+            e_norm = float(np.linalg.norm(e_vec))
+            geo_bound = diagnostics.geometric_envelope(self.geo, k, q)
+            v_bar = v.mean(axis=0)
+            z = self.reg.prox(v_bar, self.alpha)
+            in_ball = (
+                float(np.linalg.norm(x_bar)) <= self.radius
+                and float(np.linalg.norm(z)) <= self.radius
+            )
+            eps = (
+                diagnostics.prox_inexactness(x_bar, v_bar, z, self.alpha, self.g_h)
+                if eps is not None and in_ball
+                else None
+            )
+        comm = slots_before(k + 1)
+        values = [obj.value(x_bar) for obj in self.objectives]
+        return diagnostics.IterationMetrics(
+            k=k,
+            comm_cumulative=comm,
+            f_avg=float(np.mean(values) + self.reg.value(x_bar)),
+            D=diagnostics.disagreement(
+                x_next, self.schedule.matrix(max(comm - 1, 0)).w
+            ),
+            dx_norm=dx,
+            e_norm=e_norm,
+            eps=eps,
+            residual_bound=diagnostics.stationarity_bound(
+                dx, eps, e_norm, self.alpha, self.lipschitz
+            ),
+            max_consensus_gap=float(
+                np.max(np.linalg.norm(x_next - x_bar, axis=1))
+            ),
+            geo_bound=geo_bound,
+            rate_T_times_stat=rate,
+        )
+
+
+def run(setup: RunSetup) -> RunTrace:
+    """Execute the iteration loop, one certificate row per iteration.
+
+    Validates the step size and the schedule up front.  Early stopping
+    (off by default) triggers on the stationarity residual bound.
     """
     init = np.asarray(setup.init, dtype=float)
     if init.ndim != 2:
         raise ValueError(f"init must be (agents, dimension), got {init.shape}")
-    m, n = init.shape
+    m = init.shape[0]
     objectives = list(setup.objectives)
     if len(objectives) != m:
         raise ValueError(f"{len(objectives)} objectives for {m} agents")
-    if setup.schedule.m != m:
-        raise ValueError(f"schedule has {setup.schedule.m} agents, init has {m}")
+    schedule, reg, alpha = setup.schedule, setup.regularizer, setup.alpha
+    if schedule.m != m:
+        raise ValueError(f"schedule has {schedule.m} agents, init has {m}")
     if setup.max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {setup.max_iter}")
     if setup.snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {setup.snapshot_every}")
 
     lipschitz = max(obj.lipschitz() for obj in objectives)
-    if lipschitz > 0 and not 0 < setup.alpha < 1.0 / lipschitz:
+    if lipschitz > 0 and not 0 < alpha < 1.0 / lipschitz:
         raise StepSizeError(
-            f"step size {setup.alpha} violates alpha < 1/L = {1.0 / lipschitz}"
+            f"step size {alpha} violates alpha < 1/L = {1.0 / lipschitz}"
         )
-    if lipschitz == 0 and setup.alpha <= 0:
-        raise StepSizeError(f"step size must be positive, got {setup.alpha}")
+    if lipschitz == 0 and alpha <= 0:
+        raise StepSizeError(f"step size must be positive, got {alpha}")
+    validate_schedule(schedule, max(slots_before(setup.max_iter + 1), schedule.B))
 
-    T = setup.max_iter
-    horizon = max(slots_before(T + 1) if T > 0 else 0, setup.schedule.B)
-    validate_schedule(setup.schedule, horizon)
-
-    geo = (
-        geometric_constants(m, setup.schedule.B, setup.schedule.eta)
-        if m >= 2
-        else None
-    )
     # Subgradient bounds are declared on the iterate-norm ball of ten times
     # the largest initial row norm, at least 10.
     radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(init, axis=1))))
-    g_h = setup.regularizer.subgradient_bound(radius)
-    eps_supported = np.isfinite(g_h)
-
-    alpha = setup.alpha
-    reg = setup.regularizer
+    geo = geometric_constants(m, schedule.B, schedule.eta) if m >= 2 else None
+    g_h = reg.subgradient_bound(radius)
+    observer = _Observer(objectives, reg, schedule, alpha, lipschitz, geo, radius, g_h)
     x = init.copy()
-    x_bar = x.mean(axis=0)
     trace = RunTrace(alpha=alpha, lipschitz=lipschitz)
     trace.snapshots[0] = IterationSnapshot(k=0, x=x.copy(), q=None, v=None)
-    f_avg = float(
-        np.mean([obj.value(x_bar) for obj in objectives]) + reg.value(x_bar)
-    )
-    trace.rows.append(
-        diagnostics.IterationMetrics(
-            k=0,
-            comm_cumulative=0,
-            f_avg=f_avg,
-            D=diagnostics.disagreement(x, setup.schedule.matrix(0).w),
-            dx_norm=0.0,
-            e_norm=0.0,
-            eps=0.0 if eps_supported else None,
-            residual_bound=0.0,
-            max_consensus_gap=float(
-                np.max(np.linalg.norm(x - x_bar, axis=1)) if m > 1 else 0.0
-            ),
-            geo_bound=0.0,
-            rate_T_times_stat=0.0,
-        )
-    )
-
-    comm = 0
-    rate_running = 0.0
-    for k in range(1, T + 1):
-        x_next, q_all, v_all = iterate(x, objectives, setup.schedule, reg, alpha, k)
-        comm += k
-
-        x_bar_prev = x_bar
-        x_bar = x_next.mean(axis=0)
-        e_vec = diagnostics.gradient_averaging_error(x, objectives)
-        v_bar = v_all.mean(axis=0)
-        z = reg.prox(v_bar, alpha)
-        in_ball = (
-            float(np.linalg.norm(x_bar)) <= radius
-            and float(np.linalg.norm(z)) <= radius
-        )
-        eps_ok = eps_supported and in_ball
-        eps = (
-            diagnostics.prox_inexactness(x_bar, v_bar, z, alpha, g_h)
-            if eps_ok
-            else None
-        )
-        dx = float(np.linalg.norm(x_bar - x_bar_prev))
-        e_norm = float(np.linalg.norm(e_vec))
-        residual = diagnostics.stationarity_bound(dx, eps, e_norm, alpha, lipschitz)
-        rate_running += dx * dx
-        last_slot = slots_before(k) + k - 1
-        f_avg = float(
-            np.mean([obj.value(x_bar) for obj in objectives]) + reg.value(x_bar)
-        )
-        trace.rows.append(
-            diagnostics.IterationMetrics(
-                k=k,
-                comm_cumulative=comm,
-                f_avg=f_avg,
-                D=diagnostics.disagreement(
-                    x_next, setup.schedule.matrix(last_slot).w
-                ),
-                dx_norm=dx,
-                e_norm=e_norm,
-                eps=eps,
-                residual_bound=residual,
-                max_consensus_gap=float(
-                    np.max(np.linalg.norm(x_next - x_bar, axis=1))
-                ),
-                geo_bound=diagnostics.geometric_envelope(geo, k, q_all),
-                rate_T_times_stat=rate_running,
-            )
-        )
+    trace.rows.append(observer.row(0, x, x))
+    for k in range(1, setup.max_iter + 1):
+        x_next, q_all, v_all = iterate(x, objectives, schedule, reg, alpha, k)
+        trace.rows.append(observer.row(k, x, x_next, q_all, v_all, trace.rows[-1]))
         if k % setup.snapshot_every == 0:
             trace.snapshots[k] = IterationSnapshot(
                 k=k, x=x_next.copy(), q=q_all.copy(), v=v_all.copy()
             )
         x = x_next
-        if setup.early_stop and residual < setup.tol:
+        if setup.early_stop and trace.rows[-1].residual_bound < setup.tol:
             trace.stopped_early = True
             break
 
     trace.final_x = x
-    trace.comm_cumulative = comm
+    trace.comm_cumulative = trace.rows[-1].comm_cumulative
     return trace

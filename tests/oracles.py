@@ -1,17 +1,23 @@
 """Independent numerical oracles.
 
-Everything in this module is deliberately written from scratch, without
-calling into the package under test, so that expected values in the test
-suite come from a second computational route: golden-section search for
-one-dimensional proximal points, central finite differences for gradients,
-breadth-first search for connectivity, a plain centralized proximal
-gradient loop for reference minimizers, a token-by-token LIBSVM reader,
-and an iteration's mixing matrix multiplied out from scratch.
+Everything in this module but trace_rows is deliberately written from
+scratch, without calling into the package under test, so that expected
+values in the test suite come from a second computational route:
+golden-section search for one-dimensional proximal points, central finite
+differences for gradients, breadth-first search for connectivity, a plain
+centralized proximal gradient loop for reference minimizers, a
+token-by-token LIBSVM reader, and an iteration's mixing matrix multiplied
+out from scratch.  trace_rows assembles every trace row from a run's
+snapshots, row 0 and the later rows written out separately; it calls the
+package's certificate functions, which have their own tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from proxnet import diagnostics
+from proxnet.graphs import geometric_constants
 
 INV_PHI = (5.0**0.5 - 1.0) / 2.0
 
@@ -99,6 +105,86 @@ def ordered_product(schedule, k: int) -> np.ndarray:
     for t in range(start + 1, start + k):
         product = schedule.matrix(t).w @ product
     return product
+
+
+def trace_rows(setup, trace) -> list:
+    """Trace rows of a run recomputed from its snapshots, one per iteration.
+
+    The run must have kept every snapshot (snapshot_every = 1).  The slot of
+    D is the last one iteration k read, slot 0 at k = 0; row 0 carries no
+    e, envelope or residual, and eps is 0 there when it is supported.
+    """
+    objectives, reg = list(setup.objectives), setup.regularizer
+    schedule = setup.schedule
+    alpha, lipschitz = trace.alpha, trace.lipschitz
+    assert sorted(trace.snapshots) == list(range(len(trace.snapshots)))
+    x = trace.snapshots[0].x
+    m = x.shape[0]
+    geo = geometric_constants(m, schedule.B, schedule.eta) if m >= 2 else None
+    radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(x, axis=1))))
+    g_h = reg.subgradient_bound(radius)
+    eps_supported = np.isfinite(g_h)
+
+    def f_avg(x_bar):
+        values = [obj.value(x_bar) for obj in objectives]
+        return float(np.mean(values) + reg.value(x_bar))
+
+    x_bar = x.mean(axis=0)
+    gap = float(np.max(np.linalg.norm(x - x_bar, axis=1))) if m > 1 else 0.0
+    rows = [
+        diagnostics.IterationMetrics(
+            k=0,
+            comm_cumulative=0,
+            f_avg=f_avg(x_bar),
+            D=diagnostics.disagreement(x, schedule.matrix(0).w),
+            dx_norm=0.0,
+            e_norm=0.0,
+            eps=0.0 if eps_supported else None,
+            residual_bound=0.0,
+            max_consensus_gap=gap,
+            geo_bound=0.0,
+            rate_T_times_stat=0.0,
+        )
+    ]
+    comm, rate = 0, 0.0
+    for k in range(1, len(trace.snapshots)):
+        snap = trace.snapshots[k]
+        comm += k
+        x_bar_prev, x_bar = x_bar, snap.x.mean(axis=0)
+        e_norm = float(
+            np.linalg.norm(diagnostics.gradient_averaging_error(x, objectives))
+        )
+        v_bar = snap.v.mean(axis=0)
+        z = reg.prox(v_bar, alpha)
+        in_ball = np.linalg.norm(x_bar) <= radius and np.linalg.norm(z) <= radius
+        eps = (
+            diagnostics.prox_inexactness(x_bar, v_bar, z, alpha, g_h)
+            if eps_supported and in_ball
+            else None
+        )
+        dx = float(np.linalg.norm(x_bar - x_bar_prev))
+        rate += dx * dx
+        rows.append(
+            diagnostics.IterationMetrics(
+                k=k,
+                comm_cumulative=comm,
+                f_avg=f_avg(x_bar),
+                D=diagnostics.disagreement(snap.x, schedule.matrix(comm - 1).w),
+                dx_norm=dx,
+                e_norm=e_norm,
+                eps=eps,
+                residual_bound=diagnostics.stationarity_bound(
+                    dx, eps, e_norm, alpha, lipschitz
+                ),
+                max_consensus_gap=float(
+                    np.max(np.linalg.norm(snap.x - x_bar, axis=1))
+                ),
+                geo_bound=diagnostics.geometric_envelope(geo, k, snap.q),
+                rate_T_times_stat=rate,
+            )
+        )
+        x = snap.x
+    return rows
 
 
 def centralized_prox_gradient(

@@ -311,6 +311,24 @@ def test_output_dir_env_relocates_relative_paths(tmp_path, monkeypatch, capsys):
     assert target.is_file()
 
 
+def test_run_rejects_unusable_output_path_before_solving(tmp_path, capsys):
+    conf = _quad_config(tmp_path)
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("a regular file\n")
+    directory = tmp_path / "out"
+    directory.mkdir()
+    for output in (blocker / "t.csv", directory):
+        assert cli.main(["run", "--config", str(conf), "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "out",
+        "plain.txt",
+        "quad.conf",
+    ]
+    assert not any(directory.iterdir())
+
+
 def test_run_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("no.such.key = 1\n")

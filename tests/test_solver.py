@@ -3,12 +3,14 @@ import pytest
 
 from proxnet.graphs import (
     PeriodicSchedule,
+    RandomSchedule,
     complete_schedule,
     metropolis_weights,
+    ring_matchings_schedule,
     ring_schedule,
 )
 from proxnet.objectives import Quadratic, SigmoidLoss, quadratic_family
-from proxnet.objectives import synthetic_classification
+from proxnet.objectives import shard, synthetic_classification
 from proxnet.regularizers import Box, L1, Zero
 from proxnet.solver import (
     NumericalFault,
@@ -23,6 +25,7 @@ from proxnet.solver import (
 from proxnet.diagnostics import gradient_averaging_error
 
 from fixtures import matchings_run
+from oracles import trace_rows
 
 
 class _CountingNanObjective:
@@ -386,3 +389,86 @@ def test_run_box_regularizer_has_no_eps() -> None:
     trace = run(setup)
     assert all(row.eps is None for row in trace.rows)
     assert all(np.isfinite(row.residual_bound) for row in trace.rows[1:])
+
+
+def _setup(objectives, regularizer, schedule, max_iter, init, **kwargs):
+    lipschitz = max(obj.lipschitz() for obj in objectives)
+    return RunSetup(
+        objectives=objectives,
+        regularizer=regularizer,
+        schedule=schedule,
+        alpha=0.9 / lipschitz,
+        max_iter=max_iter,
+        init=init,
+        **kwargs,
+    )
+
+
+def _sigmoid_on_matchings():
+    data = synthetic_classification(120, 8, seed=2)
+    objectives = [SigmoidLoss(piece) for piece in shard(data, 6, seed=2)]
+    init = np.random.default_rng(2).standard_normal((6, 8))
+    return _setup(objectives, L1(8, lam1=0.01), ring_matchings_schedule(6), 25, init)
+
+
+def _box_on_ring():
+    init = np.random.default_rng(3).standard_normal((6, 3))
+    box = Box(3, lo=-1.0, hi=1.0)
+    return _setup(quadratic_family(6, 3, seed=3), box, ring_schedule(6, B=2), 20, init)
+
+
+def _one_agent():
+    init = np.ones((1, 3))
+    objectives = quadratic_family(1, 3, seed=4)
+    return _setup(objectives, L1(3, lam1=0.05), ring_schedule(1), 10, init)
+
+
+def _random_schedule():
+    init = np.random.default_rng(5).standard_normal((5, 3))
+    schedule = RandomSchedule(5, B=3, seed=5)
+    return _setup(quadratic_family(5, 3, seed=5), L1(3, lam1=0.05), schedule, 12, init)
+
+
+def _no_iterations():
+    init = np.random.default_rng(6).standard_normal((4, 3))
+    objectives = quadratic_family(4, 3, seed=6)
+    return _setup(objectives, L1(3, lam1=0.05), complete_schedule(4), 0, init)
+
+
+def _leaving_the_ball():
+    # The minimizer near 50 lies outside the radius-10 ball of a zero init.
+    objectives = [Quadratic(np.eye(1), np.array([50.0])) for _ in range(2)]
+    reg = L1(1, lam1=0.01)
+    return _setup(objectives, reg, complete_schedule(2), 5, np.zeros((2, 1)))
+
+
+def _early_stop():
+    return _setup(
+        quadratic_family(3, 2, seed=4),
+        Zero(2),
+        complete_schedule(3),
+        500,
+        np.zeros((3, 2)),
+        early_stop=True,
+        tol=1e-6,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_setup",
+    [
+        _sigmoid_on_matchings,
+        _box_on_ring,
+        _one_agent,
+        _random_schedule,
+        _no_iterations,
+        _leaving_the_ball,
+        _early_stop,
+    ],
+    ids=lambda make_setup: make_setup.__name__.lstrip("_"),
+)
+def test_run_rows_match_the_snapshot_oracle(make_setup) -> None:
+    setup = make_setup()
+    trace = run(setup)
+    assert trace.stopped_early == setup.early_stop
+    assert trace.rows == trace_rows(setup, trace)
