@@ -2,8 +2,11 @@
 
 Config files are flat "dotted.key = value" lines; full-line comments start
 with #.  Unknown and duplicate keys are errors: configs are provenance
-records and must not silently drift.  The only environment override is
-OUTPUT_DIR, which relocates relative output paths.
+records and must not silently drift.  The fields of ExperimentConfig are
+the keys: a field's name is its key with the first dot written as an
+underscore (graph.B is graph_B, algo.max_iter is algo_max_iter), and its
+type picks the value's converter.  A float value may not be nan.  The only
+environment override is OUTPUT_DIR, which relocates relative output paths.
 
 Exit codes: 0 success, 1 failed check (validate-graph, prox-check),
 2 config error or, for run, a schedule that is not window-connected,
@@ -17,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,22 +64,27 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _to_float(raw: str) -> float:
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return value
+
+
 def _to_alpha(raw: str):
-    if raw == "auto":
-        return "auto"
-    return float(raw)
+    return "auto" if raw == "auto" else float(raw)
 
 
 @dataclass
 class ExperimentConfig:
-    """All run settings; field order matches the documented key order."""
+    """All run settings: one field per config key, in dump order."""
 
     problem_kind: str = "quadratic"
     problem_n: int = 10
     problem_seed: int = 0
-    lambda1: float = 5e-4
-    lambda2: float = 5e-4
-    reg_split: str = "h-carries-l2"
+    problem_lambda1: float = 5e-4
+    problem_lambda2: float = 5e-4
+    problem_reg_split: str = "h-carries-l2"
     data_path: str | None = None
     data_subsample: int | None = None
     data_n_override: int | None = None
@@ -85,51 +93,31 @@ class ExperimentConfig:
     reg_hi: float = 1.0
     graph_kind: str = "complete"
     graph_m: int = 10
-    graph_b: int | None = None
+    graph_B: int | None = None
     graph_seed: int = 0
     graph_path: str | None = None
-    alpha: object = "auto"
-    safety: float = 0.9
-    max_iter: int = 100
-    tol: float = 1e-8
-    early_stop: bool = False
-    init: str = "zeros"
-    init_scale: float = 1.0
+    algo_alpha: float | str = "auto"
+    algo_safety: float = 0.9
+    algo_max_iter: int = 100
+    algo_tol: float = 1e-8
+    algo_early_stop: bool = False
+    algo_init: str = "zeros"
+    algo_init_scale: float = 1.0
     algo_seed: int = 0
-    trace_path: str = "trace.csv"
-    snapshot_every: int = 1
+    output_trace: str = "trace.csv"
+    output_snapshot_every: int = 1
 
 
-# Dotted config key -> (attribute, converter).  Order defines dump order.
-_KEYS: dict[str, tuple[str, object]] = {
-    "problem.kind": ("problem_kind", str),
-    "problem.n": ("problem_n", int),
-    "problem.seed": ("problem_seed", int),
-    "problem.lambda1": ("lambda1", float),
-    "problem.lambda2": ("lambda2", float),
-    "problem.reg_split": ("reg_split", str),
-    "data.path": ("data_path", str),
-    "data.subsample": ("data_subsample", int),
-    "data.n_override": ("data_n_override", int),
-    "reg.kind": ("reg_kind", str),
-    "reg.lo": ("reg_lo", float),
-    "reg.hi": ("reg_hi", float),
-    "graph.kind": ("graph_kind", str),
-    "graph.m": ("graph_m", int),
-    "graph.B": ("graph_b", int),
-    "graph.seed": ("graph_seed", int),
-    "graph.path": ("graph_path", str),
-    "algo.alpha": ("alpha", _to_alpha),
-    "algo.safety": ("safety", float),
-    "algo.max_iter": ("max_iter", int),
-    "algo.tol": ("tol", float),
-    "algo.early_stop": ("early_stop", _to_bool),
-    "algo.init": ("init", str),
-    "algo.init_scale": ("init_scale", float),
-    "algo.seed": ("algo_seed", int),
-    "output.trace": ("trace_path", str),
-    "output.snapshot_every": ("snapshot_every", int),
+# A field's annotation, a string without "| None", picks its converter.
+_CONVERTERS = {
+    "str": str,
+    "int": int,
+    "float": _to_float,
+    "bool": _to_bool,
+    "float | str": _to_alpha,
 }
+# Config key -> field, in dump order, derived from the field names.
+_FIELDS = {field.name.replace("_", ".", 1): field for field in fields(ExperimentConfig)}
 
 _PROBLEM_KINDS = ("quadratic", "sigmoid")
 _GRAPH_KINDS = ("complete", "ring", "matchings", "random", "file")
@@ -151,14 +139,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr, convert = _KEYS[key]
+        field = _FIELDS[key]
+        convert = _CONVERTERS[field.type.removesuffix(" | None")]
         try:
-            setattr(cfg, attr, convert(value))
+            setattr(cfg, field.name, convert(value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     _validate_config(cfg)
@@ -172,31 +161,37 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"graph.kind must be one of {_GRAPH_KINDS}")
     if cfg.reg_kind is not None and cfg.reg_kind not in _REG_KINDS:
         raise ConfigError(f"reg.kind must be one of {_REG_KINDS}")
-    if cfg.reg_split not in _REG_SPLITS:
+    if cfg.problem_reg_split not in _REG_SPLITS:
         raise ConfigError(f"problem.reg_split must be one of {_REG_SPLITS}")
-    if cfg.init not in _INITS:
+    if cfg.algo_init not in _INITS:
         raise ConfigError(f"algo.init must be one of {_INITS}")
-    if cfg.lambda1 < 0 or cfg.lambda2 < 0:
+    if cfg.problem_lambda1 < 0 or cfg.problem_lambda2 < 0:
         raise ConfigError("penalty weights must be nonnegative")
+    if not (math.isfinite(cfg.problem_lambda1) and math.isfinite(cfg.problem_lambda2)):
+        raise ConfigError("penalty weights must be finite")
+    if not math.isfinite(cfg.algo_init_scale):
+        raise ConfigError(f"algo.init_scale must be finite, got {cfg.algo_init_scale}")
     if cfg.graph_m < 1:
         raise ConfigError(f"graph.m must be >= 1, got {cfg.graph_m}")
-    if cfg.graph_b is not None and cfg.graph_b < 1:
-        raise ConfigError(f"graph.B must be >= 1, got {cfg.graph_b}")
-    if cfg.max_iter < 0:
-        raise ConfigError(f"algo.max_iter must be >= 0, got {cfg.max_iter}")
-    if cfg.snapshot_every < 1:
+    if cfg.graph_B is not None and cfg.graph_B < 1:
+        raise ConfigError(f"graph.B must be >= 1, got {cfg.graph_B}")
+    if cfg.algo_max_iter < 0:
+        raise ConfigError(f"algo.max_iter must be >= 0, got {cfg.algo_max_iter}")
+    if cfg.output_snapshot_every < 1:
         raise ConfigError("output.snapshot_every must be >= 1")
     if cfg.data_subsample is not None and cfg.data_subsample < 1:
         raise ConfigError("data.subsample must be >= 1")
+    if cfg.data_n_override is not None and cfg.data_n_override < 1:
+        raise ConfigError(f"data.n_override must be >= 1, got {cfg.data_n_override}")
     if cfg.problem_n < 1:
         raise ConfigError(f"problem.n must be >= 1, got {cfg.problem_n}")
-    if isinstance(cfg.alpha, float) and not cfg.alpha > 0:
-        raise ConfigError(f"algo.alpha must be positive, got {cfg.alpha}")
-    if not 0 < cfg.safety < 1:
-        raise ConfigError(f"algo.safety must be in (0, 1), got {cfg.safety}")
+    if isinstance(cfg.algo_alpha, float) and not cfg.algo_alpha > 0:
+        raise ConfigError(f"algo.alpha must be positive, got {cfg.algo_alpha}")
+    if not 0 < cfg.algo_safety < 1:
+        raise ConfigError(f"algo.safety must be in (0, 1), got {cfg.algo_safety}")
     if (
         cfg.problem_kind == "sigmoid"
-        and cfg.reg_split == "g-carries-l2"
+        and cfg.problem_reg_split == "g-carries-l2"
         and cfg.reg_kind in ("elastic-net", "squared-l2")
     ):
         raise ConfigError(
@@ -208,8 +203,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 def dump_config(cfg: ExperimentConfig) -> str:
     """Inverse of parse_config; omits unset optional keys."""
     lines = []
-    for key, (attr, _convert) in _KEYS.items():
-        value = getattr(cfg, attr)
+    for key, field in _FIELDS.items():
+        value = getattr(cfg, field.name)
         if value is None:
             continue
         if isinstance(value, bool):
@@ -235,7 +230,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     base = path.parent
-    for attr in ("data_path", "graph_path"):
+    for key in ("data.path", "graph.path"):
+        attr = _FIELDS[key].name
         value = getattr(cfg, attr)
         if value is None:
             continue
@@ -243,7 +239,7 @@ def load_config(path) -> ExperimentConfig:
         if not resolved.is_absolute():
             resolved = base / resolved
         if not resolved.is_file():
-            raise ConfigError(f"{attr.replace('_', '.')} does not exist: {resolved}")
+            raise ConfigError(f"{key} does not exist: {resolved}")
         setattr(cfg, attr, str(resolved))
     return cfg
 
@@ -252,19 +248,19 @@ def build_schedule(cfg: ExperimentConfig) -> Schedule:
     m = cfg.graph_m
     kind = cfg.graph_kind
     if kind == "complete":
-        schedule = complete_schedule(m, B=cfg.graph_b or 1)
+        schedule = complete_schedule(m, B=cfg.graph_B or 1)
     elif kind == "ring":
-        schedule = ring_schedule(m, B=cfg.graph_b or 1)
+        schedule = ring_schedule(m, B=cfg.graph_B or 1)
     elif kind == "matchings":
-        if cfg.graph_b not in (None, 2):
+        if cfg.graph_B not in (None, 2):
             raise ConfigError("matchings schedules have B = 2")
         if m < 2:
             raise ConfigError("matchings need graph.m >= 2")
         schedule = ring_matchings_schedule(m)
     elif kind == "random":
-        if cfg.graph_b is None:
+        if cfg.graph_B is None:
             raise ConfigError("graph.kind = random requires graph.B")
-        schedule = RandomSchedule(m=m, B=cfg.graph_b, seed=cfg.graph_seed)
+        schedule = RandomSchedule(m=m, B=cfg.graph_B, seed=cfg.graph_seed)
     else:  # file
         if cfg.graph_path is None:
             raise ConfigError("graph.kind = file requires graph.path")
@@ -274,7 +270,7 @@ def build_schedule(cfg: ExperimentConfig) -> Schedule:
             raise ConfigError(f"bad graph file: {exc}") from None
         try:
             schedule = schedule_from_matrices(
-                matrices, B=cfg.graph_b or len(matrices)
+                matrices, B=cfg.graph_B or len(matrices)
             )
         except ValueError as exc:
             raise ConfigError(f"bad graph file: {exc}") from None
@@ -318,8 +314,10 @@ def build_problem(cfg: ExperimentConfig):
             raise ConfigError(str(exc)) from None
         objectives = [SigmoidLoss(piece) for piece in shards]
         n = dataset.n
-        if cfg.reg_split == "g-carries-l2":
-            objectives = [WithSquaredL2(obj, cfg.lambda2) for obj in objectives]
+        if cfg.problem_reg_split == "g-carries-l2":
+            objectives = [
+                WithSquaredL2(obj, cfg.problem_lambda2) for obj in objectives
+            ]
             default_kind = "l1"
         else:
             default_kind = "elastic-net"
@@ -330,7 +328,7 @@ def build_problem(cfg: ExperimentConfig):
     kind = cfg.reg_kind or default_kind
     try:
         regularizer = make_regularizer(
-            kind, n, cfg.lambda1, cfg.lambda2, cfg.reg_lo, cfg.reg_hi
+            kind, n, cfg.problem_lambda1, cfg.problem_lambda2, cfg.reg_lo, cfg.reg_hi
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -338,10 +336,10 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def _build_init(cfg: ExperimentConfig, m: int, n: int) -> np.ndarray:
-    if cfg.init == "zeros":
+    if cfg.algo_init == "zeros":
         return np.zeros((m, n))
     rng = np.random.default_rng(cfg.algo_seed)
-    return cfg.init_scale * rng.standard_normal((m, n))
+    return cfg.algo_init_scale * rng.standard_normal((m, n))
 
 
 def _resolve_output(path_str: str) -> Path:
@@ -364,11 +362,11 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.graph_seed = args.seed
         cfg.algo_seed = args.seed
     if getattr(args, "output", None) is not None:
-        cfg.trace_path = args.output
+        cfg.output_trace = args.output
     if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
+        cfg.algo_max_iter = args.max_iter
     if getattr(args, "alpha", None) is not None:
-        cfg.alpha = _to_alpha(args.alpha)
+        cfg.algo_alpha = _to_alpha(args.alpha)
 
 
 def cmd_run(args) -> int:
@@ -378,25 +376,25 @@ def cmd_run(args) -> int:
     # The schedule and the output path are cheap to check and the data can
     # take seconds to parse, so their errors are reported first.
     schedule = build_schedule(cfg)
-    out_path = _resolve_output(cfg.trace_path)
+    out_path = _resolve_output(cfg.output_trace)
     objectives, regularizer, n, provenance = build_problem(cfg)
     lipschitz = max(obj.lipschitz() for obj in objectives)
-    if cfg.alpha == "auto":
+    if cfg.algo_alpha == "auto":
         if lipschitz <= 0:
             raise ConfigError("cannot pick alpha automatically: L = 0")
-        alpha = cfg.safety / lipschitz
+        alpha = cfg.algo_safety / lipschitz
     else:
-        alpha = float(cfg.alpha)
+        alpha = float(cfg.algo_alpha)
     setup = RunSetup(
         objectives=objectives,
         regularizer=regularizer,
         schedule=schedule,
         alpha=alpha,
-        max_iter=cfg.max_iter,
+        max_iter=cfg.algo_max_iter,
         init=_build_init(cfg, cfg.graph_m, n),
-        early_stop=cfg.early_stop,
-        tol=cfg.tol,
-        snapshot_every=cfg.snapshot_every,
+        early_stop=cfg.algo_early_stop,
+        tol=cfg.algo_tol,
+        snapshot_every=cfg.output_snapshot_every,
     )
     started = time.perf_counter()
     trace = run(setup)
@@ -493,7 +491,7 @@ def cmd_lipschitz(args) -> int:
     global_l = max(constants)
     print(f"global L {global_l!r}")
     if global_l > 0:
-        print(f"recommended alpha {cfg.safety / global_l!r}")
+        print(f"recommended alpha {cfg.algo_safety / global_l!r}")
     return 0
 
 

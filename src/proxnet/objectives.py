@@ -421,7 +421,7 @@ def shard(dataset: Dataset, m: int, seed: int) -> list[Dataset]:
     """Split a dataset into m near-equal shards after a seeded shuffle.
 
     The first count mod m shards get one extra sample; the union of the
-    shards is the input dataset.
+    shards is the input dataset.  One shard is the input itself, unshuffled.
     """
     if m < 1:
         raise ValueError(f"need at least one shard, got m={m}")
@@ -430,15 +430,10 @@ def shard(dataset: Dataset, m: int, seed: int) -> list[Dataset]:
     if m == 1:
         return [dataset]
     order = np.random.default_rng(seed).permutation(dataset.count)
-    base, extra = divmod(dataset.count, m)
-    shards = []
-    start = 0
-    for i in range(m):
-        size = base + (1 if i < extra else 0)
-        idx = order[start : start + size]
-        shards.append(Dataset(dataset.features[idx], dataset.labels[idx]))
-        start += size
-    return shards
+    return [
+        Dataset(dataset.features[idx], dataset.labels[idx])
+        for idx in np.array_split(order, m)
+    ]
 
 
 def subsample(dataset: Dataset, count: int, seed: int) -> Dataset:

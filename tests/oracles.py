@@ -6,10 +6,11 @@ values in the test suite come from a second computational route:
 golden-section search for one-dimensional proximal points, central finite
 differences for gradients, breadth-first search for connectivity, a plain
 centralized proximal gradient loop for reference minimizers, a
-token-by-token LIBSVM reader, and an iteration's mixing matrix multiplied
-out from scratch.  trace_rows assembles every trace row from a run's
-snapshots, row 0 and the later rows written out separately; it calls the
-package's certificate functions, which have their own tests.
+token-by-token LIBSVM reader, shard row indices counted out one shard at a
+time, and an iteration's mixing matrix multiplied out from scratch.
+trace_rows assembles every trace row from a run's snapshots, row 0 and the
+later rows written out separately; it calls the package's certificate
+functions, which have their own tests.
 """
 
 from __future__ import annotations
@@ -285,3 +286,17 @@ def parse_libsvm_by_token(source, n_features: int | None = None):
         for idx, val in entries:
             row[idx - 1] = val
     return features, labels
+
+
+def shard_rows(count: int, m: int, seed: int) -> list[np.ndarray]:
+    """Row indices of each of m shards: a seeded permutation cut in order,
+    the first count mod m shards one row longer."""
+    order = np.random.default_rng(seed).permutation(count)
+    base, extra = divmod(count, m)
+    rows = []
+    start = 0
+    for i in range(m):
+        size = base + (1 if i < extra else 0)
+        rows.append(order[start : start + size])
+        start += size
+    return rows

@@ -1,6 +1,7 @@
 """Config grammar, builders, subcommands, exit codes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,16 +84,16 @@ def _quad_config(tmp_path, name="quad.conf", extra=""):
 def test_config_round_trip_covers_every_key():
     cfg = parse_config(FULL_CONFIG)
     assert cfg == parse_config(dump_config(cfg))
-    assert cfg.alpha == 0.05
-    assert cfg.early_stop is True
-    assert cfg.graph_b == 3
+    assert cfg.algo_alpha == 0.05
+    assert cfg.algo_early_stop is True
+    assert cfg.graph_B == 3
 
 
 def test_config_defaults():
     cfg = parse_config("")
     assert cfg == ExperimentConfig()
-    assert cfg.alpha == "auto"
-    assert cfg.lambda1 == 5e-4 and cfg.lambda2 == 5e-4
+    assert cfg.algo_alpha == "auto"
+    assert cfg.problem_lambda1 == 5e-4 and cfg.problem_lambda2 == 5e-4
 
 
 def test_config_auto_alpha_round_trips():
@@ -138,11 +139,42 @@ def test_config_parse_errors_carry_line_numbers(text, fragment, line):
         "reg.kind = elastic-net\n",
         "problem.kind = sigmoid\nproblem.reg_split = g-carries-l2\n"
         "reg.kind = squared-l2\n",
+        "problem.lambda1 = inf\n",
+        "problem.lambda1 = nan\n",
+        "problem.lambda2 = inf\n",
+        "problem.lambda2 = nan\n",
+        "algo.init_scale = inf\n",
+        "algo.init_scale = -inf\n",
+        "algo.init_scale = nan\n",
+        "reg.lo = nan\n",
+        "algo.tol = nan\n",
+        "data.n_override = 0\n",
+        "data.n_override = -2\n",
     ],
 )
 def test_config_validation_rejects(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def test_config_language_is_pinned():
+    # The 27 keys in dump order; renaming a field must not change them.
+    keys = """
+        problem.kind problem.n problem.seed problem.lambda1 problem.lambda2
+        problem.reg_split data.path data.subsample data.n_override reg.kind
+        reg.lo reg.hi graph.kind graph.m graph.B graph.seed graph.path
+        algo.alpha algo.safety algo.max_iter algo.tol algo.early_stop
+        algo.init algo.init_scale algo.seed output.trace output.snapshot_every
+    """.split()
+    dumped = dump_config(parse_config(FULL_CONFIG + "graph.path = w.txt\n"))
+    assert [line.partition(" = ")[0] for line in dumped.splitlines()] == keys
+    shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.conf"))
+    assert len(shipped) == 3
+    for path in shipped:
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        text = dump_config(cfg)
+        assert parse_config(text) == cfg
+        assert dump_config(parse_config(text)) == text
 
 
 def test_load_config_requires_referenced_files(tmp_path):
@@ -295,7 +327,7 @@ def test_seed_flag_overrides_every_seed():
 
     cli._apply_overrides(cfg, Args)
     assert (cfg.problem_seed, cfg.graph_seed, cfg.algo_seed) == (77, 77, 77)
-    assert cfg.max_iter == 4 and cfg.alpha == 0.01
+    assert cfg.algo_max_iter == 4 and cfg.algo_alpha == 0.01
 
 
 def test_output_dir_env_relocates_relative_paths(tmp_path, monkeypatch, capsys):
@@ -343,6 +375,29 @@ def test_run_exit_codes(tmp_path, capsys):
     for flag, value in (("--alpha", "0"), ("--alpha", "-1"), ("--max-iter", "-1")):
         assert cli.main(["run", "--config", str(conf), flag, value]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_values_before_solving(tmp_path, capsys):
+    trace = tmp_path / "quad.csv"
+    for extra in (
+        "problem.lambda1 = inf\n",
+        "problem.lambda2 = nan\n",
+        "algo.init = gaussian\nalgo.init_scale = inf\n",
+    ):
+        conf = _quad_config(tmp_path, extra=extra)
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not trace.exists()
+    # A one-sided box keeps its infinite bound and runs.
+    for lo, hi in (("-inf", "0.5"), ("-0.5", "inf")):
+        conf = tmp_path / "box.conf"
+        conf.write_text(
+            f"problem.n = 3\ngraph.m = 4\nalgo.max_iter = 10\nreg.kind = box\n"
+            f"reg.lo = {lo}\nreg.hi = {hi}\noutput.trace = {trace}\n"
+        )
+        assert cli.main(["run", "--config", str(conf)]) == 0
+        assert trace.exists()
+        trace.unlink()
 
 
 def test_run_reports_schedule_error_before_reading_data(tmp_path, capsys):

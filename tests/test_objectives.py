@@ -21,7 +21,7 @@ from proxnet.objectives import (
     synthetic_classification,
 )
 
-from oracles import central_difference, parse_libsvm_by_token
+from oracles import central_difference, parse_libsvm_by_token, shard_rows
 
 
 def _tiny_shard() -> Dataset:
@@ -444,6 +444,21 @@ def test_shard_sizes_and_union() -> None:
     )
     total_labels = np.concatenate([s.labels for s in shards])
     assert np.sort(total_labels).tolist() == np.sort(data.labels).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(2, 40), m=st.integers(2, 40), seed=st.integers(0, 2**16)
+)
+def test_shard_matches_the_row_oracle(count, m, seed) -> None:
+    m = min(m, count)
+    data = synthetic_classification(count=count, n=3, seed=1)
+    shards = shard(data, m=m, seed=seed)
+    rows = shard_rows(count, m, seed)
+    assert len(shards) == m
+    for piece, idx in zip(shards, rows):
+        assert np.array_equal(piece.features, data.features[idx])
+        assert np.array_equal(piece.labels, data.labels[idx])
 
 
 def test_shard_determinism_and_edges() -> None:
