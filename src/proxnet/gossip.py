@@ -6,6 +6,11 @@ gossip rounds: at every slot each agent sends its value over each
 positive-weight edge, then folds the received payloads together with its
 own self-weighted value at a synchronization barrier.  The two routes
 must agree; replay_check drives that comparison over a recorded run.
+
+gossip_rounds stays message-level on purpose, even on matching slots that
+the solver applies as pair averages: it is the independent route that
+replay_check compares the solver against, so it shares none of its
+shortcuts.
 """
 
 from __future__ import annotations

@@ -18,6 +18,13 @@ period product would be cheaper still but rounds differently, and near
 consensus the residual bound's eps term is rounding noise, so that
 rounding moves the bound past the reference traces' tolerance.
 
+A slot that averages disjoint pairs of agents (every matchings slot) is
+applied by :meth:`AdjacencyMatrix.mix` as pair averages, O(m) rows of work
+instead of a dense m x m product.  The dense product of such a slot adds
+exact zeros to two exact halves, so each of its entries rounds once, to
+the same value the pair average gives; the traces do not change.
+Metropolis and supplied slots of any other shape keep the dense product.
+
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
 :func:`validate_schedule` checks the first.  The floor needs no check: a
@@ -31,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +100,49 @@ class AdjacencyMatrix:
         """Undirected positive-weight edges as (i, j) pairs with i < j."""
         rows, cols = np.nonzero(np.triu(self.w, k=1))
         return list(zip(rows.tolist(), cols.tolist()))
+
+    @cached_property
+    def _partner(self) -> np.ndarray | None:
+        """Each agent's matched partner (itself when unmatched), or None.
+
+        Set only when every row of w is exactly e_i or (e_i + e_j) / 2 for
+        a partner j whose row is (e_j + e_i) / 2, that is, when the slot
+        averages disjoint pairs.
+        """
+        w = self.w
+        # A matching has at most 2m nonzeros; this cheap count turns away
+        # most Metropolis slots of a random schedule.
+        if np.count_nonzero(w) > 2 * w.shape[0]:
+            return None
+        idx = np.arange(w.shape[0])
+        off = w != 0
+        off[idx, idx] = False
+        partner = np.where(off.any(axis=1), off.argmax(axis=1), idx)
+        matching = np.zeros_like(w)
+        matching[idx, idx] = 0.5
+        matching[idx, partner] += 0.5
+        return partner if np.array_equal(w, matching) else None
+
+    def mix(self, p: np.ndarray) -> np.ndarray:
+        """w @ p, bit for bit, as a new array.
+
+        A matching slot is applied as the pair averages (p + p[partner]) / 2,
+        O(m) rows of work instead of a dense product; every other slot is
+        the dense product.  The two agree bit for bit while no half of an
+        entry of p is subnormal, no pair sum overflows and no entry is -0
+        (the dense sum turns it into +0): halving is then exact, and the
+        dense sum adds exact zeros to the exact halves, so each entry
+        rounds once, to fl(a/2 + b/2) = fl(a + b) / 2.  A product of up to
+        1021 slots with weights 1/2 has entries that are +0 or in
+        [2**-1021, 1], which meets the condition.
+        """
+        partner = self._partner
+        if partner is None:
+            return self.w @ p
+        out = p[partner]
+        out += p
+        out *= 0.5
+        return out
 
 
 def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
@@ -306,8 +357,10 @@ def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
     first slot when k is shorter; a schedule without a period builds the
     product from scratch.  Either way the slots are multiplied one at a
     time in slot order, so the result, and every trace, is the same bit
-    for bit whatever was asked before.  The module docstring says why a
-    matrix power is not used.
+    for bit whatever was asked before.  Each slot is applied by its
+    AdjacencyMatrix.mix: pair averages for a matching slot, which round
+    like the dense product (see mix), and the dense product otherwise.
+    The module docstring says why a matrix power is not used.
     """
     start = slots_before(k)
     phase = None if schedule.period is None else start % schedule.period
@@ -315,7 +368,7 @@ def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
     if product is None or length > k:
         length, product = 1, schedule.matrix(start).w
     for t in range(start + length, start + k):
-        product = schedule.matrix(t).w @ product
+        product = schedule.matrix(t).mix(product)
     if phase is not None:
         schedule._prefixes[phase] = (k, product)
     return product.copy()

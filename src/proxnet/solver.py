@@ -6,9 +6,10 @@ k), and every agent applies the shared proximal operator.  The step size
 is constant and must stay strictly below 1/L, where L is the worst local
 gradient Lipschitz constant.
 
-run() is only the iteration loop; one private row builder makes every
-trace row from the iterates before and after a step.  Row 0 is the step
-from init to init, with no q, v or previous row.
+gradient_step moves every agent in one call: one grad per agent, then one
+array update.  run() is only the iteration loop; one private row builder
+makes every trace row from the iterates before and after a step.  Row 0
+is the step from init to init, with no q, v or previous row.
 """
 
 from __future__ import annotations
@@ -42,16 +43,21 @@ class NumericalFault(RuntimeError):
         self.agent = agent
 
 
-def gradient_step(x: np.ndarray, objective, alpha: float, agent: int | None = None):
-    """q = x - alpha * grad g(x) for one agent."""
+def gradient_step(x_all: np.ndarray, objectives, alpha: float, k: int) -> np.ndarray:
+    """q_i = x_i - alpha * grad g_i(x_i) for every agent i at once.
+
+    One grad call per agent, in agent order, fills an (m, n) gradient
+    array; a non-finite gradient raises NumericalFault naming iteration k
+    and the first agent that has one.
+    """
     if not alpha > 0:
         raise ValueError(f"step size must be positive, got {alpha}")
-    grad = objective.grad(x)
-    if not np.all(np.isfinite(grad)):
-        raise NumericalFault(
-            f"non-finite gradient at agent {agent}", iteration=0, agent=agent
-        )
-    return x - alpha * grad
+    x_all = np.asarray(x_all, dtype=float)
+    grads = np.empty_like(x_all)
+    for i, obj in enumerate(objectives):
+        grads[i] = obj.grad(x_all[i])
+    _check_finite(grads, k, "gradient")
+    return x_all - alpha * grads
 
 
 def consensus_step(q_all: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -79,10 +85,11 @@ def iterate(
 ):
     """One full iteration; returns (x_next, q_all, v_all).
 
-    Mixes the gradient points with consensus_weights(schedule, k), the
-    ordered product of slots slots_before(k) .. slots_before(k) + k - 1.
-    gossip.gossip_rounds applies the same slots one at a time, and
-    gossip.replay_check holds the two routes within REPLAY_TOLERANCE.
+    One gradient_step moves every agent, then the gradient points are
+    mixed with consensus_weights(schedule, k), the ordered product of
+    slots slots_before(k) .. slots_before(k) + k - 1, and the shared prox
+    is applied.  gossip.gossip_rounds applies the same slots one at a time,
+    and gossip.replay_check holds the two routes within REPLAY_TOLERANCE.
     """
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")
@@ -90,12 +97,7 @@ def iterate(
     m = x_all.shape[0]
     if len(objectives) != m:
         raise ValueError(f"{len(objectives)} objectives for {m} agents")
-    q_all = np.empty_like(x_all)
-    for i, obj in enumerate(objectives):
-        try:
-            q_all[i] = gradient_step(x_all[i], obj, alpha, agent=i)
-        except NumericalFault as fault:
-            raise NumericalFault(str(fault), iteration=k, agent=i) from None
+    q_all = gradient_step(x_all, objectives, alpha, k)
     _check_finite(q_all, k, "post-gradient point")
     v_all = consensus_step(q_all, consensus_weights(schedule, k))
     _check_finite(v_all, k, "post-consensus point")

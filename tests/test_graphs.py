@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from proxnet.graphs import (
     AdjacencyMatrix,
@@ -236,6 +237,79 @@ def test_random_schedule_weights_match_the_product_from_scratch(seed, m, B, ks) 
     for k in ks:
         lam = consensus_weights(sched, k)
         assert lam.tobytes() == ordered_product(sched, k).tobytes(), k
+
+
+@st.composite
+def _matchings(draw, m: int) -> AdjacencyMatrix:
+    """A slot that averages disjoint pairs; unmatched agents keep weight 1."""
+    order = draw(st.permutations(range(m)))
+    pairs = draw(st.integers(0, m // 2))
+    w = np.eye(m)
+    for i, j in zip(order[0 : 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+        w[i, i] = w[j, j] = w[i, j] = w[j, i] = 0.5
+    return AdjacencyMatrix(w)
+
+
+# Nonzero entries keep their halves normal and their pair sums finite.
+_MIX_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(2.0**-1000, 2.0**1000),
+    st.floats(-(2.0**1000), -(2.0**-1000)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(2, 64))
+def test_matching_mix_is_the_dense_product_bit_for_bit(data, m) -> None:
+    slot = data.draw(_matchings(m))
+    assert slot._partner is not None
+    if data.draw(st.booleans()):
+        p = np.eye(m)
+        for other in data.draw(st.lists(_matchings(m), min_size=1, max_size=8)):
+            p = other.w @ p
+    else:
+        n = data.draw(st.integers(1, 4))
+        p = data.draw(arrays(np.float64, (m, n), elements=_MIX_ENTRIES))
+    before = p.copy()
+    assert slot.mix(p).tobytes() == (slot.w @ p).tobytes()
+    assert p.tobytes() == before.tobytes()
+
+
+def _supplied(w) -> AdjacencyMatrix:
+    return schedule_from_matrices([np.array(w)], B=1).matrix(0)
+
+
+def test_mix_detects_matchings_and_nothing_else(tmp_path) -> None:
+    path = tmp_path / "half.txt"
+    path.write_text("0.5 0.5 0\n0.5 0.5 0\n0 0 1\n")
+    half = schedule_from_matrices(read_matrix_file(path), B=1).matrix(0)
+    matchings = [
+        *(ring_matchings_schedule(m).matrix(t) for m in (2, 3, 7, 10) for t in (0, 1)),
+        ring_schedule(2).matrix(0),
+        half,
+    ]
+    for slot in matchings:
+        assert slot._partner is not None
+    assert ring_matchings_schedule(4).matrix(0)._partner.tolist() == [1, 0, 3, 2]
+    assert ring_matchings_schedule(4).matrix(1)._partner.tolist() == [3, 2, 1, 0]
+    assert half._partner.tolist() == [1, 0, 2]
+    ring = np.roll(np.eye(4), 1, axis=0)
+    cycle = 0.5 * np.eye(4) + 0.25 * (ring + ring.T)
+    dense = [
+        *(ring_schedule(m).matrix(0) for m in (3, 4, 9)),
+        *(complete_schedule(m).matrix(0) for m in (3, 5)),
+        _supplied([[0.6, 0.4], [0.4, 0.6]]),
+        _supplied([[0.5 + 1e-12, 0.5 - 1e-12], [0.5 - 1e-12, 0.5 + 1e-12]]),
+        # A matching's diagonal and nonzero count, but rows 0-3 mix three
+        # agents each.
+        _supplied(np.block([[cycle, np.zeros((4, 4))], [np.zeros((4, 4)), np.eye(4)]])),
+    ]
+    for slot in dense:
+        assert slot._partner is None
+    rng = np.random.default_rng(5)
+    for slot in matchings + dense:
+        p = rng.standard_normal((slot.m, 3))
+        assert slot.mix(p).tobytes() == (slot.w @ p).tobytes()
 
 
 def test_consensus_weights_reads_slots_linearly() -> None:

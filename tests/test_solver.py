@@ -51,31 +51,42 @@ class _CountingNanObjective:
 
 def test_gradient_step_stationary_point() -> None:
     quad = Quadratic(np.eye(2), np.array([1.0, -1.0]))
-    q = gradient_step(np.array([1.0, -1.0]), quad, alpha=0.3)
-    assert q == pytest.approx([1.0, -1.0])
+    q = gradient_step(np.array([[1.0, -1.0]]), [quad], alpha=0.3, k=1)
+    assert q == pytest.approx(np.array([[1.0, -1.0]]))
 
 
 def test_gradient_step_identity_quadratic() -> None:
     # g = ||x - c||^2 / 2 pulls the offset in by a factor (1 - alpha).
     c = np.array([2.0, 0.0, -1.0])
     d = np.array([1.0, -2.0, 0.5])
-    quad = Quadratic(np.eye(3), c)
-    q = gradient_step(c + d, quad, alpha=0.25)
-    assert q == pytest.approx(c + 0.75 * d)
+    quads = [Quadratic(np.eye(3), c), Quadratic(np.eye(3), -c)]
+    q = gradient_step(np.array([c + d, -c + d]), quads, alpha=0.25, k=1)
+    assert q == pytest.approx(np.array([c + 0.75 * d, -c + 0.75 * d]))
 
 
 def test_gradient_step_rejects_bad_alpha() -> None:
     quad = Quadratic(np.eye(2), np.zeros(2))
     for alpha in (0.0, -0.5):
         with pytest.raises(ValueError):
-            gradient_step(np.zeros(2), quad, alpha)
+            gradient_step(np.zeros((1, 2)), [quad], alpha, k=1)
 
 
 def test_gradient_step_faults_on_nan() -> None:
-    obj = _CountingNanObjective(n=2, blow_at=1)
+    order = []
+
+    class Logged(_CountingNanObjective):
+        def grad(self, x):
+            order.append(objs.index(self))
+            return super().grad(x)
+
+    objs = [Logged(n=2, blow_at=1 if i == 3 else 2) for i in range(5)]
     with pytest.raises(NumericalFault) as info:
-        gradient_step(np.zeros(2), obj, alpha=0.1, agent=3)
+        gradient_step(np.zeros((5, 2)), objs, alpha=0.1, k=7)
     assert info.value.agent == 3
+    assert info.value.iteration == 7
+    assert str(info.value) == "non-finite gradient at agent 3"
+    # Every agent's gradient is read once, in agent order.
+    assert order == [0, 1, 2, 3, 4]
 
 
 def test_consensus_step_examples() -> None:
