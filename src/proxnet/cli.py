@@ -296,7 +296,10 @@ def build_problem(cfg: ExperimentConfig):
         except ValueError as exc:
             raise ConfigError(f"bad data file {cfg.data_path}: {exc}") from None
         # Free the text before shard copies the matrix, so it is not part
-        # of the peak.
+        # of the peak.  The parse leaves none of its per-block arrays
+        # behind either, so the peak is the dense matrix plus its shards
+        # while shard gathers their rows (43 + 43 MB for 100,000
+        # covtype-shaped rows).
         del text
         provenance["samples_total"] = dataset.count
         if cfg.data_subsample is not None:

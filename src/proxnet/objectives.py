@@ -56,7 +56,10 @@ The strings and lists of a block cost about 140-190 bytes per feature
 while it is converted: 0.4 MB for 256 covtype-shaped lines (12 features
 each) and 23 MB for 256 lines of 500 features, but 13 MB for 8192
 covtype-shaped lines and about 0.7 GB for 8192 lines of 500 features.
-Larger blocks do not parse faster.
+Larger blocks do not parse faster.  Only one block's strings and arrays
+are alive at a time: parse_libsvm copies each block's arrays into arrays
+sized for the whole file and drops them, so the block size sets how much
+a block holds while it is converted, not what the parse keeps.
 """
 
 
@@ -82,18 +85,54 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     so that only one block's per-token strings are held at once, whatever
     the size of the file.  A block that fails a check is walked line by
     line to name its first bad line.
+
+    Memory: every well-formed feature has exactly one colon, so the
+    colon count of the source sizes one flat index array and one flat
+    value array before the first block; one label array and one array of
+    features per line are sized by the line count.  Besides the split
+    lines and the dense matrix, that is 16 bytes per feature and 16 per
+    line.  Each block's arrays are copied into slices of these and
+    dropped before the next block is converted, so none is left scattered
+    over the heap when the parse returns.  The split lines are freed
+    before the dense matrix is filled, _BLOCK_LINES rows at a time and
+    without full-size temporaries.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
-    blocks = []
+    colons = (
+        source.count(":")
+        if isinstance(source, str)
+        else sum(line.count(":") for line in lines)
+    )
+    raw_labels = np.empty(len(lines))
+    counts = np.empty(len(lines), dtype=np.intp)
+    indices = np.empty(colons, dtype=np.int64)
+    values = np.empty(colons)
+    samples = tokens = max_index = 0
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
         parsed = _parse_block(block)
         if parsed is None:
             raise ValueError(_first_error(block, start + 1))
-        blocks.append(parsed)
-    raw_labels = np.concatenate([np.empty(0), *(block[0] for block in blocks)])
-    if raw_labels.size == 0:
+        block_labels, block_counts, block_indices, block_values = parsed
+        block_rows = slice(samples, samples + block_labels.size)
+        block_tokens = slice(tokens, tokens + block_indices.size)
+        raw_labels[block_rows] = block_labels
+        counts[block_rows] = block_counts
+        values[block_tokens] = block_values
+        if block_indices.size:
+            max_index = max(max_index, int(block_indices.max()))
+        # An index past int64 (an object array of Python ints) cannot be
+        # stored, and need not be: max_index then exceeds any dimension
+        # np.zeros accepts, so a dimension error is raised before the fill.
+        if block_indices.dtype != object:
+            indices[block_tokens] = block_indices
+        samples, tokens = block_rows.stop, block_tokens.stop
+        # Free the block's arrays before the next block is converted.
+        del parsed, block_labels, block_counts, block_indices, block_values
+    del lines  # before the dense matrix is filled
+    if samples == 0:
         raise ValueError("no samples found")
+    raw_labels, counts = raw_labels[:samples], counts[:samples]
 
     seen = set(raw_labels.tolist())
     for negative, positive in _LABEL_FAMILIES:
@@ -103,20 +142,19 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     else:
         raise ValueError(f"label set {sorted(seen)} is not a supported binary family")
 
-    max_index = max(
-        (int(indices.max()) for _, _, indices, _ in blocks if indices.size), default=0
-    )
     n = n_features if n_features is not None else max_index
     if n < 1:
         raise ValueError("cannot infer feature dimension: no features present")
     if max_index > n:
         raise ValueError(f"feature index {max_index} exceeds declared dimension {n}")
-    features = np.zeros((raw_labels.size, n))
-    row = 0
-    for block_labels, counts, indices, values in blocks:
-        rows = np.repeat(np.arange(row, row + block_labels.size), counts)
-        features[rows, indices - 1] = values
-        row += block_labels.size
+    features = np.zeros((samples, n))
+    first = 0
+    for row in range(0, samples, _BLOCK_LINES):
+        chunk = counts[row : row + _BLOCK_LINES]
+        stop = first + int(chunk.sum())
+        rows = np.repeat(np.arange(row, row + chunk.size), chunk)
+        features[rows, indices[first:stop] - 1] = values[first:stop]
+        first = stop
     return Dataset(features, labels)
 
 
@@ -214,7 +252,7 @@ def stable_sigmoid(u: np.ndarray) -> np.ndarray:
     """1/(1+e^u) evaluated without overflow for any magnitude of u."""
     u = np.asarray(u, dtype=float)
     z = np.exp(-np.abs(u))
-    return np.where(u >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
+    return np.where(u >= 0, z, 1.0) / (1.0 + z)
 
 
 def sigmoid_curvature_peak() -> float:
@@ -252,7 +290,7 @@ class SigmoidLoss:
         return self.shard.labels * (self.shard.features @ x)
 
     def value(self, x: np.ndarray) -> float:
-        return float(np.mean(stable_sigmoid(self._margins(x))))
+        return float(stable_sigmoid(self._margins(x)).sum() / self.shard.count)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         s = stable_sigmoid(self._margins(x))

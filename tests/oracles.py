@@ -7,7 +7,8 @@ golden-section search for one-dimensional proximal points, central finite
 differences for gradients, breadth-first search for connectivity, a plain
 centralized proximal gradient loop for reference minimizers, a
 token-by-token LIBSVM reader, shard row indices counted out one shard at a
-time, and an iteration's mixing matrix multiplied out from scratch.
+time, an iteration's mixing matrix multiplied out from scratch, and the
+sigmoid with a sum and a quotient of its own in each branch.
 trace_rows assembles every trace row from a run's snapshots, row 0 and the
 later rows written out separately; it calls the package's certificate
 functions, which have their own tests.
@@ -286,6 +287,12 @@ def parse_libsvm_by_token(source, n_features: int | None = None):
         for idx, val in entries:
             row[idx - 1] = val
     return features, labels
+
+
+def two_branch_sigmoid(u: np.ndarray) -> np.ndarray:
+    """1/(1+e^u) as z/(1+z) where u >= 0 and 1/(1+z) elsewhere, z = e^-|u|."""
+    z = np.exp(-np.abs(u))
+    return np.where(u >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
 
 
 def shard_rows(count: int, m: int, seed: int) -> list[np.ndarray]:

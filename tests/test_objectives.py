@@ -1,9 +1,11 @@
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from proxnet import objectives
 from proxnet.objectives import (
@@ -21,7 +23,12 @@ from proxnet.objectives import (
     synthetic_classification,
 )
 
-from oracles import central_difference, parse_libsvm_by_token, shard_rows
+from oracles import (
+    central_difference,
+    parse_libsvm_by_token,
+    shard_rows,
+    two_branch_sigmoid,
+)
 
 
 def _tiny_shard() -> Dataset:
@@ -180,6 +187,28 @@ def test_parse_error_lines_are_numbered_in_the_whole_file() -> None:
         parse_libsvm(text)
 
 
+def test_parse_drops_each_blocks_arrays_before_the_next() -> None:
+    parse_block = objectives._parse_block
+    refs = []
+    alive = []
+
+    def watched(lines):
+        alive.append(sum(ref() is not None for ref in refs))
+        parsed = parse_block(lines)
+        refs.extend(weakref.ref(array) for array in parsed)
+        return parsed
+
+    text = _with(_rows(3 * BLOCK + 1), {})
+    with mock.patch.object(objectives, "_parse_block", watched):
+        data = parse_libsvm(text)
+    assert len(refs) == 4 * 4
+    # No earlier block's labels, counts, indices or values outlive it.
+    assert alive == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
+    outcome = (data.features.shape, data.features.tobytes(), data.labels.tobytes())
+    assert outcome == _outcome(_by_token, text, None)
+
+
 # Fuzzed tokens are at most five characters, so an index stays below 10^5
 # and a dense matrix of unset dimension stays small.
 _FUZZ_TOKENS = st.text("0123456789:.+-ex", min_size=1, max_size=5) | st.lists(
@@ -276,6 +305,41 @@ def test_stable_sigmoid_extremes() -> None:
     assert s[2] == pytest.approx(0.5)
     assert s[4] == pytest.approx(0.0, abs=1e-300)
     assert np.all(np.diff(s) < 0)
+
+
+_SIGMOID_EDGES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+    + [-1e-310, 700.5, -700.5, 745.2, -745.2, 1e300, -1e300]
+)
+_ANY_FLOAT = (
+    st.floats()
+    | st.floats(-40.0, 40.0)
+    | st.floats(min_value=700.0)
+    | st.floats(max_value=-700.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=arrays(np.float64, st.integers(0, 50), elements=_ANY_FLOAT))
+def test_stable_sigmoid_matches_the_two_branch_form_bit_for_bit(u) -> None:
+    u = np.concatenate([_SIGMOID_EDGES, u])
+    assert stable_sigmoid(u).tobytes() == two_branch_sigmoid(u).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_sigmoid_value_is_the_mean_bit_for_bit(shape, data) -> None:
+    finite = st.floats(-1e3, 1e3)
+    features = data.draw(arrays(np.float64, shape, elements=finite))
+    signs = st.sampled_from([-1.0, 1.0])
+    labels = data.draw(arrays(np.float64, shape[0], elements=signs))
+    x = data.draw(arrays(np.float64, shape[1], elements=finite))
+    expected = float(np.mean(two_branch_sigmoid(labels * (features @ x))))
+    value = SigmoidLoss(Dataset(features, labels)).value(x)
+    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
 def test_sigmoid_value_at_origin() -> None:
