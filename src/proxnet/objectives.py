@@ -9,7 +9,9 @@ and synthetic data generation live here too.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -59,11 +61,24 @@ covtype-shaped lines and about 0.7 GB for 8192 lines of 500 features.
 Larger blocks do not parse faster.  Only one block's strings and arrays
 are alive at a time: parse_libsvm copies each block's arrays into arrays
 sized for the whole file and drops them, so the block size sets how much
-a block holds while it is converted, not what the parse keeps.
+a block holds while it is converted, not what the parse keeps.  The
+dense fill runs _BLOCK_LINES rows at a time too, so its temporaries stay
+as small; the parse peaks there, at the dense matrix plus the flat
+arrays.
 """
 
+_NARROW_INDEX = np.int32
+"""Dtype of parse_libsvm's flat index array until an index needs int64."""
 
-def parse_libsvm(source, n_features: int | None = None) -> Dataset:
+
+def _shard_order(count: int, seed: int) -> np.ndarray:
+    """The seeded row order that shard cuts and subsample takes a prefix of."""
+    return np.random.default_rng(seed).permutation(count)
+
+
+def parse_libsvm(
+    source, n_features: int | None = None, *, shard_seed: int | None = None
+) -> Dataset:
     """Parse LIBSVM text: one "label idx:val idx:val ..." line per sample.
 
     The grammar, one line at a time: surrounding whitespace is ignored
@@ -71,14 +86,16 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     the label, read by float(); every further token is idx:val with
     exactly one colon and text on both sides, idx read by int() and val by
     float().  Indices are 1-based and strictly increasing within a line.
-    A str source is split with str.splitlines; any other iterable yields
-    one line per item.  The first malformed line raises ValueError naming
-    its 1-based line number.
+    A path (os.PathLike) is read as UTF-8 text; a str source is split with
+    str.splitlines; any other iterable yields one line per item.  The
+    first malformed line raises ValueError naming its 1-based line number.
 
     Raw label sets {-1,+1}, {0,1} and {1,2} are normalized to {-1,+1},
     matched in that order so a file whose labels all equal 1 keeps them
     as +1.  The feature dimension is the largest index seen unless
-    overridden.
+    overridden.  Rows keep file order unless shard_seed is given; then
+    they come in the order that shard(..., seed=shard_seed) would put
+    them in, so shard(..., seed=None) can cut views without a copy.
 
     Lines are converted _BLOCK_LINES at a time, with one split and one
     numpy conversion per block instead of per token.  Blocks are bounded
@@ -87,25 +104,31 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     line to name its first bad line.
 
     Memory: every well-formed feature has exactly one colon, so the
-    colon count of the source sizes one flat index array and one flat
-    value array before the first block; one label array and one array of
-    features per line are sized by the line count.  Besides the split
-    lines and the dense matrix, that is 16 bytes per feature and 16 per
-    line.  Each block's arrays are copied into slices of these and
-    dropped before the next block is converted, so none is left scattered
-    over the heap when the parse returns.  The split lines are freed
-    before the dense matrix is filled, _BLOCK_LINES rows at a time and
-    without full-size temporaries.
+    colon count of the source sizes one flat index array (int32, widened
+    once to int64 if an index needs it) and one flat value array before
+    the first block; one label array and one array of features per line
+    are sized by the line count.  Besides the split lines and the dense
+    matrix, that is 12 bytes per feature and 16 per line.  A text read
+    from a path is freed once it is split; a caller's text stays alive
+    through the call.  Each block's arrays are copied into slices of the
+    flat arrays and dropped before the next block is converted.  The
+    split lines are freed before the dense matrix is filled, each row
+    straight into its final position, _BLOCK_LINES rows at a time and
+    without full-size temporaries; the flat arrays are freed before the
+    Dataset checks the matrix.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
-    colons = (
-        source.count(":")
-        if isinstance(source, str)
-        else sum(line.count(":") for line in lines)
-    )
+    if isinstance(source, os.PathLike):
+        source = Path(source).read_text(encoding="utf-8")
+    if isinstance(source, str):
+        lines = source.splitlines()
+        colons = source.count(":")
+    else:
+        lines = list(source)
+        colons = sum(line.count(":") for line in lines)
+    del source  # a text read here is freed before the first block
     raw_labels = np.empty(len(lines))
     counts = np.empty(len(lines), dtype=np.intp)
-    indices = np.empty(colons, dtype=np.int64)
+    indices = np.empty(colons, dtype=_NARROW_INDEX)
     values = np.empty(colons)
     samples = tokens = max_index = 0
     for start in range(0, len(lines), _BLOCK_LINES):
@@ -125,6 +148,8 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
         # stored, and need not be: max_index then exceeds any dimension
         # np.zeros accepts, so a dimension error is raised before the fill.
         if block_indices.dtype != object:
+            if indices.dtype != np.int64 and max_index > np.iinfo(indices.dtype).max:
+                indices = indices.astype(np.int64)
             indices[block_tokens] = block_indices
         samples, tokens = block_rows.stop, block_tokens.stop
         # Free the block's arrays before the next block is converted.
@@ -147,14 +172,21 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
         raise ValueError("cannot infer feature dimension: no features present")
     if max_index > n:
         raise ValueError(f"feature index {max_index} exceeds declared dimension {n}")
+    # Line r of the file is written to row position[r] of the matrix.
+    position = np.arange(samples)
+    if shard_seed is not None:
+        order = _shard_order(samples, shard_seed)
+        position[order] = np.arange(samples)
+        labels = labels[order]
     features = np.zeros((samples, n))
     first = 0
     for row in range(0, samples, _BLOCK_LINES):
         chunk = counts[row : row + _BLOCK_LINES]
         stop = first + int(chunk.sum())
-        rows = np.repeat(np.arange(row, row + chunk.size), chunk)
+        rows = np.repeat(position[row : row + chunk.size], chunk)
         features[rows, indices[first:stop] - 1] = values[first:stop]
         first = stop
+    del indices, values
     return Dataset(features, labels)
 
 
@@ -455,11 +487,15 @@ def synthetic_classification(
     return Dataset(features, labels)
 
 
-def shard(dataset: Dataset, m: int, seed: int) -> list[Dataset]:
+def shard(dataset: Dataset, m: int, seed: int | None) -> list[Dataset]:
     """Split a dataset into m near-equal shards after a seeded shuffle.
 
-    The first count mod m shards get one extra sample; the union of the
-    shards is the input dataset.  One shard is the input itself, unshuffled.
+    The shuffle copies the rows once, into the order
+    _shard_order(count, seed); the shards are contiguous row views of
+    that copy, the first count mod m one row longer.  With seed None the
+    rows are taken as already in that order (parse_libsvm with
+    shard_seed) and the shards are views of the input.  One shard is the
+    input itself, unshuffled.
     """
     if m < 1:
         raise ValueError(f"need at least one shard, got m={m}")
@@ -467,10 +503,13 @@ def shard(dataset: Dataset, m: int, seed: int) -> list[Dataset]:
         raise ValueError(f"cannot split {dataset.count} samples into {m} shards")
     if m == 1:
         return [dataset]
-    order = np.random.default_rng(seed).permutation(dataset.count)
+    features, labels = dataset.features, dataset.labels
+    if seed is not None:
+        order = _shard_order(dataset.count, seed)
+        features, labels = features[order], labels[order]
     return [
-        Dataset(dataset.features[idx], dataset.labels[idx])
-        for idx in np.array_split(order, m)
+        Dataset(*piece)
+        for piece in zip(np.array_split(features, m), np.array_split(labels, m))
     ]
 
 
@@ -480,5 +519,5 @@ def subsample(dataset: Dataset, count: int, seed: int) -> Dataset:
         raise ValueError(
             f"subsample size {count} out of range for {dataset.count} samples"
         )
-    idx = np.random.default_rng(seed).permutation(dataset.count)[:count]
+    idx = _shard_order(dataset.count, seed)[:count]
     return Dataset(dataset.features[idx], dataset.labels[idx])

@@ -21,10 +21,15 @@ from proxnet.objectives import (
     Quadratic,
     SigmoidLoss,
     WithSquaredL2,
+    parse_libsvm,
     serialize_libsvm,
+    shard,
+    subsample,
     synthetic_classification,
 )
 from proxnet.regularizers import Box, ElasticNet, L1, Zero
+
+from oracles import shard_rows
 
 FULL_CONFIG = """\
 # every key exercised once
@@ -284,6 +289,50 @@ def test_build_problem_subsample_provenance(tmp_path):
     )
     with pytest.raises(ConfigError, match="exceeds"):
         build_problem(load_config(conf))
+
+
+def _shards(tmp_path, keys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n" + keys)
+    objectives, _reg, _n, _prov = build_problem(load_config(conf))
+    return [obj.shard for obj in objectives]
+
+
+def test_build_problem_shards_are_views_of_one_matrix(tmp_path):
+    text = _write_dataset(tmp_path, count=30).read_text(encoding="utf-8")
+    whole = parse_libsvm(text)
+    shards = _shards(tmp_path, "graph.m = 4\nproblem.seed = 5\n")
+    matrix = shards[0].features.base
+    assert matrix is not None and matrix.shape == whole.features.shape
+    for piece, rows in zip(shards, shard_rows(30, 4, 5), strict=True):
+        assert piece.features.base is matrix
+        assert np.shares_memory(piece.features, matrix)
+        assert piece.features.tobytes() == whole.features[rows].tobytes()
+        assert piece.labels.tobytes() == whole.labels[rows].tobytes()
+
+    # One agent keeps the file order.
+    (single,) = _shards(tmp_path, "graph.m = 1\nproblem.seed = 5\n")
+    assert single.features.tobytes() == whole.features.tobytes()
+    assert single.labels.tobytes() == whole.labels.tobytes()
+
+
+def test_build_problem_subsample_is_drawn_in_file_order(tmp_path):
+    text = _write_dataset(tmp_path, count=30).read_text(encoding="utf-8")
+    expected = shard(subsample(parse_libsvm(text), 12, 5), 3, 5)
+    shards = _shards(tmp_path, "data.subsample = 12\ngraph.m = 3\nproblem.seed = 5\n")
+    for piece, want in zip(shards, expected, strict=True):
+        assert piece.features.tobytes() == want.features.tobytes()
+        assert piece.labels.tobytes() == want.labels.tobytes()
+
+
+def test_run_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "data.libsvm"
+    data.write_bytes(b"+1 1:0.5\n-1 2:\xff\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n")
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad data file {data}: 'utf-8' codec")
 
 
 def test_build_problem_sigmoid_needs_data():
