@@ -9,8 +9,10 @@ type picks the value's converter.  A float value may not be nan.  The only
 environment override is OUTPUT_DIR, which relocates relative output paths.
 
 Exit codes: 0 success, 1 failed check (validate-graph, prox-check),
-2 config error or, for run, a schedule that is not window-connected,
-3 step-size violation, 4 numerical fault.
+2 config error or, for run, a schedule that is not window-connected
+(before the first iteration for a periodic schedule; mid-run, at the
+first window built that fails, for a random one), 3 step-size violation,
+4 numerical fault.
 """
 
 from __future__ import annotations
@@ -303,6 +305,10 @@ def build_problem(cfg: ExperimentConfig):
             raise ConfigError(f"cannot read data file: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"bad data file {cfg.data_path}: {exc}") from None
+        except MemoryError as exc:
+            raise ConfigError(
+                f"data file {cfg.data_path} is too large to load: {exc}"
+            ) from None
         provenance["samples_total"] = dataset.count
         if cfg.data_subsample is not None:
             if cfg.data_subsample > dataset.count:
@@ -330,7 +336,10 @@ def build_problem(cfg: ExperimentConfig):
             default_kind = "elastic-net"
     else:
         n = cfg.problem_n
-        objectives = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
+        try:
+            objectives = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
+        except MemoryError as exc:
+            raise ConfigError(f"problem.n = {n} is too large: {exc}") from None
         default_kind = "zero"
     kind = cfg.reg_kind or default_kind
     try:

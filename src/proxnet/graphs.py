@@ -27,10 +27,15 @@ Metropolis and supplied slots of any other shape keep the dense product.
 
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
-:func:`validate_schedule` checks the first.  The floor needs no check: a
-schedule does not declare it but derives it from its own matrices, as the
-smallest positive entry of a periodic schedule and as 1/m for the
-Metropolis slots of a random schedule, so it holds by construction.
+:func:`validate_schedule` checks the first over one period of a periodic
+schedule's windows.  A random schedule checks its own: every B
+consecutive slots hold exactly one of its tree slots, so a window is
+connected when that tree is, and each tree is checked once, when its
+window is built, so a run may stop mid-way at one that fails.  The
+floor needs no check: a schedule does not declare it but derives it
+from its own matrices, as the smallest positive entry of a periodic
+schedule and as 1/m for the Metropolis slots of a random schedule, so
+it holds by construction.
 """
 
 from __future__ import annotations
@@ -192,7 +197,8 @@ class Schedule:
 
     Subclasses implement :meth:`matrix`.  A schedule whose slots repeat
     sets ``period``; validation then reads one period of windows, and
-    consensus_weights keeps one prefix product per phase.
+    consensus_weights keeps one prefix product per phase.  A schedule
+    without a period checks its windows itself, as it builds them.
     """
 
     period: int | None = None
@@ -241,7 +247,10 @@ class RandomSchedule(Schedule):
     slots keep each possible edge independently with probability 1/4.
     Every run of B consecutive slots, aligned to a multiple of B or not,
     contains exactly one tree slot, so both window notions are connected
-    by construction.  Identical seeds reproduce identical matrices at
+    when the trees are.  Building a window checks its tree slot and raises
+    DisconnectedSchedule if it does not connect all agents, so every
+    window a run reads is checked once, without a walk over the horizon
+    before the run.  Identical seeds reproduce identical matrices at
     every slot.
     """
 
@@ -268,6 +277,12 @@ class RandomSchedule(Schedule):
                 rows, cols = np.nonzero(np.triu(mask, k=1))
                 edges = list(zip(rows.tolist(), cols.tolist()))
             mats.append(metropolis_weights(edges, self.m))
+        if not _connected(mats[0].w > 0):
+            raise DisconnectedSchedule(
+                f"disconnected schedule window: the tree slot {window * self.B}, "
+                f"first slot of random window {window}, does not connect all "
+                f"{self.m} agents"
+            )
         return mats
 
     def matrix(self, t: int) -> AdjacencyMatrix:
@@ -395,10 +410,13 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
     """Check window connectivity over the slots [0, horizon).
 
     Every window of B consecutive slots inside the horizon must connect all
-    agents.  A periodic schedule repeats its windows, so only the first
-    min(horizon - B + 1, period) window starts are examined, reading at
-    most period + B - 1 slots whatever the horizon.  Raises
-    DisconnectedSchedule at the first window that fails.
+    agents, and the horizon must hold at least one window.  A periodic
+    schedule repeats its windows, so only the first min(horizon - B + 1,
+    period) window starts are examined, reading at most period + B - 1
+    slots whatever the horizon.  Raises DisconnectedSchedule at the first
+    window that fails.  A schedule without a period is not read: a random
+    schedule checks each window's tree slot when it builds the window (see
+    RandomSchedule), so a walk here would only build every window twice.
 
     Nothing else needs a check here.  Every slot matrix is an
     AdjacencyMatrix, which enforces symmetry and double stochasticity when
@@ -411,9 +429,9 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
         raise ValueError(
             f"horizon {horizon} is shorter than the connectivity window B={B}"
         )
-    starts = horizon - B + 1
-    if schedule.period is not None:
-        starts = min(starts, schedule.period)
+    if schedule.period is None:
+        return
+    starts = min(horizon - B + 1, schedule.period)
     window: deque[np.ndarray] = deque(maxlen=B)
     for t in range(starts + B - 1):
         window.append(schedule.matrix(t).w > 0)

@@ -1,9 +1,12 @@
-"""Shared run fixtures; cached because several test modules replay them."""
+"""Shared run fixtures, cached because several test modules replay them,
+and a patch that breaks one random window's tree."""
 
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
+from proxnet import graphs
 from proxnet.graphs import complete_schedule, ring_matchings_schedule
 from proxnet.objectives import quadratic_family
 from proxnet.regularizers import L1
@@ -43,3 +46,19 @@ def small_quadratic_run():
         init=np.zeros((4, 3)),
     )
     return setup, run(setup)
+
+
+def break_random_tree(monkeypatch, B: int, window: int) -> None:
+    """Drop one edge of the tree drawn for a RandomSchedule's window.
+
+    The tree slot is the first of the B Metropolis builds of its window,
+    so with windows built in order, once each, it is build B * window.
+    """
+    build = graphs.metropolis_weights
+    calls = count()
+
+    def patched(edges, m):
+        edges = list(edges)
+        return build(edges[:-1] if next(calls) == B * window else edges, m)
+
+    monkeypatch.setattr(graphs, "metropolis_weights", patched)

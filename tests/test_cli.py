@@ -29,6 +29,7 @@ from proxnet.objectives import (
 )
 from proxnet.regularizers import Box, ElasticNet, L1, Zero
 
+from fixtures import break_random_tree
 from oracles import shard_rows
 
 FULL_CONFIG = """\
@@ -335,6 +336,32 @@ def test_run_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"config error: bad data file {data}: 'utf-8' codec")
 
 
+# The two sizes below are past the 128 TiB of address space that Linux
+# gives a process by default, so the allocation fails before any memory
+# is touched.
+
+
+def test_run_names_a_data_file_too_large_to_load(tmp_path, capsys):
+    # An index of 10^15 without data.n_override asks for a 2 x 10^15
+    # matrix: 14.2 PiB.
+    data = tmp_path / "data.libsvm"
+    data.write_text("+1 1:0.5 1000000000000000:1\n-1 2:1\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 2\n")
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: data file {data} is too large to load")
+
+
+def test_run_names_a_problem_dimension_too_large(tmp_path, capsys):
+    # Each quadratic agent draws an n x n factor: 71.1 PiB at n = 10^8.
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem.n = 100000000\n")
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.n = 100000000 is too large")
+
+
 def test_build_problem_sigmoid_needs_data():
     with pytest.raises(ConfigError, match="data.path"):
         build_problem(parse_config("problem.kind = sigmoid\n"))
@@ -485,6 +512,21 @@ def test_run_reports_disconnected_schedule(tmp_path, capsys):
     assert cli.main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert "schedule error" in err and "slot 0" in err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_run_stops_at_a_disconnected_random_window(tmp_path, monkeypatch, capsys):
+    # Window 1 (slots 3..5) is first read at iteration 3, so the run gets
+    # that far before it exits with 2 and writes no trace.
+    break_random_tree(monkeypatch, B=3, window=1)
+    conf = tmp_path / "random.conf"
+    conf.write_text(
+        "problem.kind = quadratic\nproblem.n = 3\ngraph.kind = random\n"
+        f"graph.m = 6\ngraph.B = 3\noutput.trace = {tmp_path / 'never.csv'}\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schedule error: ") and "random window 1" in err
     assert not (tmp_path / "never.csv").exists()
 
 

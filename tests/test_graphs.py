@@ -22,6 +22,7 @@ from proxnet.graphs import (
     validate_schedule,
 )
 
+from fixtures import break_random_tree
 from oracles import bfs_connected, ordered_product
 
 
@@ -400,7 +401,8 @@ def test_random_schedule_holds_one_window() -> None:
     sched = RandomSchedule(m=10, B=3, seed=0)
     before = [sched.matrix(t) for t in range(6)]
     held = _live_adjacency_matrices()
-    validate_schedule(sched, horizon=3_000)
+    for t in range(3_000):
+        sched.matrix(t)
     assert _live_adjacency_matrices() - held <= sched.B
     # Slots read again after the walk, late and early, are rebuilt unchanged.
     slots = [*range(6), *range(2_994, 3_000), *range(6)]
@@ -408,6 +410,16 @@ def test_random_schedule_holds_one_window() -> None:
     fresh = RandomSchedule(m=10, B=3, seed=0)
     for adj, t in zip(before + after, slots):
         assert adj.w.tobytes() == fresh.matrix(t).w.tobytes()
+
+
+def test_random_schedule_checks_its_tree_slot_when_built(monkeypatch) -> None:
+    break_random_tree(monkeypatch, B=3, window=1)
+    sched = RandomSchedule(m=6, B=3, seed=0)
+    for t in range(3):
+        sched.matrix(t)
+    message = "tree slot 3, first slot of random window 1, does not connect all 6"
+    with pytest.raises(DisconnectedSchedule, match=message):
+        sched.matrix(4)
 
 
 def _first_disconnected_window(sched, horizon):

@@ -246,6 +246,31 @@ def test_run_rejects_invalid_schedule() -> None:
         run(setup)
 
 
+def test_run_builds_each_random_window_once(monkeypatch) -> None:
+    # 30 iterations read 465 slots, 155 windows of 3; the run's validation
+    # reads none of them, and the solver reads each window's slots in turn.
+    built = []
+    build = RandomSchedule._build_window
+
+    def spy(self, window):
+        built.append(window)
+        return build(self, window)
+
+    monkeypatch.setattr(RandomSchedule, "_build_window", spy)
+    objectives = quadratic_family(m=5, n=2, seed=2)
+    run(
+        RunSetup(
+            objectives=objectives,
+            regularizer=Zero(2),
+            schedule=RandomSchedule(m=5, B=3, seed=0),
+            alpha=0.5 / max(o.lipschitz() for o in objectives),
+            max_iter=30,
+            init=np.zeros((5, 2)),
+        )
+    )
+    assert built == list(range(155))
+
+
 def test_run_rejects_mismatched_sizes() -> None:
     objectives = quadratic_family(m=3, n=2, seed=2)
     lipschitz = max(o.lipschitz() for o in objectives)
