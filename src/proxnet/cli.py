@@ -449,6 +449,12 @@ def cmd_validate_graph(args) -> int:
     horizon = args.horizon if args.horizon is not None else max(50, 2 * schedule.B)
     try:
         validate_schedule(schedule, horizon)
+        if schedule.period is None:
+            # validate_schedule reads no slot of a random schedule; reading
+            # the tree slot of each window in the horizon builds the
+            # window, and the build checks that its tree connects.
+            for t in range(0, horizon, schedule.B):
+                schedule.matrix(t)
     except DisconnectedSchedule as exc:
         print(exc)
         return 1

@@ -5,7 +5,8 @@ scratch, without calling into the package under test, so that expected
 values in the test suite come from a second computational route:
 golden-section search for one-dimensional proximal points, central finite
 differences for gradients, breadth-first search for connectivity, a plain
-centralized proximal gradient loop for reference minimizers, a
+centralized proximal gradient loop for reference minimizers, a power
+iteration on one matrix at a time for spectral norm estimates, a
 token-by-token LIBSVM reader, shard row indices counted out one shard at a
 time, an iteration's mixing matrix multiplied out from scratch, and the
 sigmoid with a sum and a quotient of its own in each branch.
@@ -94,6 +95,23 @@ def bfs_connected(m: int, edges) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == m
+
+
+def spectral_norm_power(q: np.ndarray, rel_tol: float = 1e-8) -> float:
+    """Power-iteration estimate of ||Q||_2 for one matrix, in a Python loop."""
+    n = q.shape[0]
+    x = np.ones(n) / np.sqrt(n)
+    estimate = 0.0
+    for _ in range(10_000):
+        y = q @ x
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            return 0.0
+        x = y / norm
+        if abs(norm - estimate) <= rel_tol * max(norm, 1e-300):
+            return norm
+        estimate = norm
+    return estimate
 
 
 def ordered_product(schedule, k: int) -> np.ndarray:

@@ -580,6 +580,30 @@ def test_validate_graph_verdicts(tmp_path, capsys):
     assert cli.main(["validate-graph", "--config", str(tmp_path / "nope.conf")]) == 2
 
 
+def test_validate_graph_builds_each_random_window(tmp_path, monkeypatch, capsys):
+    # A random schedule has no period; validate-graph reads the tree slot of
+    # each of the 17 windows in 50 slots, and building a window checks it.
+    conf = tmp_path / "random.conf"
+    conf.write_text("graph.kind = random\ngraph.m = 6\ngraph.B = 3\n")
+    windows = []
+    build = RandomSchedule._build_window
+
+    def spy(self, window):
+        windows.append(window)
+        return build(self, window)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RandomSchedule, "_build_window", spy)
+        assert cli.main(["validate-graph", "--config", str(conf)]) == 0
+    assert windows == list(range(17))
+    assert "valid over 50 slots" in capsys.readouterr().out
+
+    break_random_tree(monkeypatch, B=3, window=1)
+    assert cli.main(["validate-graph", "--config", str(conf)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("disconnected schedule window") and "random window 1" in out
+
+
 def test_run_random_schedule_passes_validation(tmp_path, capsys):
     # One spanning tree per B-window at a fixed position keeps every
     # sliding window connected, so the run's own validation accepts it.

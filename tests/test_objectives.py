@@ -28,6 +28,7 @@ from oracles import (
     central_difference,
     parse_libsvm_by_token,
     shard_rows,
+    spectral_norm_power,
     two_branch_sigmoid,
 )
 
@@ -506,6 +507,80 @@ def test_quadratic_family_reproducible() -> None:
     assert not np.array_equal(fam1[0].q, fam1[1].q)
     for quad in fam1:
         assert float(np.min(np.linalg.eigvalsh(quad.q))) >= 0.5 - 1e-12
+
+
+def test_quadratic_family_members_are_views_of_one_stack() -> None:
+    family = quadratic_family(m=6, n=5, seed=3)
+    stack = family[0].q.base
+    assert stack.shape == (6, 5, 5)
+    for quad in family:
+        assert quad.q.base is stack and np.shares_memory(quad.q, stack)
+        # The constant filled in by the family's batched iteration is the
+        # one the member computes alone, bit for bit.
+        alone = Quadratic(quad.q.copy(), quad.c).lipschitz()
+        assert quad.lipschitz() == alone == spectral_norm_power(quad.q)
+
+
+def _symmetric_stack(seed: int, n: int, ratios: list[float]) -> np.ndarray:
+    """One symmetric n x n matrix per ratio |second eigenvalue / first|.
+
+    The eigenvectors are random and the signs of the eigenvalues mixed, so
+    a power iteration stops later the closer the ratio is to 1.
+    """
+    rng = np.random.default_rng(seed)
+    stack = np.empty((len(ratios), n, n))
+    for i, ratio in enumerate(ratios):
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        top = rng.uniform(0.1, 10.0)
+        spectrum = top * np.concatenate([[1.0, ratio], ratio * rng.random(n)])[:n]
+        spectrum *= rng.choice([-1.0, 1.0], size=n)
+        q = (basis * spectrum) @ basis.T
+        stack[i] = (q + q.T) / 2.0
+    return stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    ratios=st.lists(st.floats(0.0, 0.995), min_size=1, max_size=8),
+    zero=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_norms_match_the_per_matrix_oracle(n, ratios, zero, seed) -> None:
+    stack = _symmetric_stack(seed, n, ratios)
+    if zero < len(stack):
+        stack[zero] = 0.0
+    got = objectives._power_norms(stack)
+    assert got.tolist() == [spectral_norm_power(q) for q in stack]
+
+
+def test_power_norms_step_cap_matches_the_oracle() -> None:
+    # On the 3 x 3 Jordan block of eigenvalue 1, ||Q x|| after k steps is
+    # about 1 + 2/k: it still moves by about 2e-8 relative at k = 10,000,
+    # so that member stops at the step cap, after the other two stop.
+    stack = np.array(
+        [np.eye(3) + np.eye(3, k=1), np.diag([2.0, 1.0, 0.5]), np.diag([3.0, 1.0, 1.0])]
+    )
+    got = objectives._power_norms(stack)
+    assert got.tolist() == [spectral_norm_power(q) for q in stack]
+
+
+def test_power_norms_hold_at_most_half_a_stack_beyond_the_input() -> None:
+    # Members stop one after another, so the active set is compacted from
+    # 8 to 4, 2 and 1 matrices; each copy replaces the one before it.
+    stack = _symmetric_stack(0, 64, [0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 0.95])
+    matrix_bytes = stack.nbytes // len(stack)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = objectives._power_norms(stack)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [spectral_norm_power(q) for q in stack]
+    # Half the stack, plus less than one matrix of (k, n) vectors.
+    assert peak <= stack.nbytes // 2 + matrix_bytes
 
 
 def test_with_squared_l2_wrapper() -> None:
