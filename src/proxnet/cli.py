@@ -163,6 +163,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"graph.kind must be one of {_GRAPH_KINDS}")
     if cfg.reg_kind is not None and cfg.reg_kind not in _REG_KINDS:
         raise ConfigError(f"reg.kind must be one of {_REG_KINDS}")
+    if cfg.reg_kind == "box":
+        try:
+            make_regularizer("box", 1, lo=cfg.reg_lo, hi=cfg.reg_hi)
+        except ValueError as exc:
+            raise ConfigError(
+                f"reg.lo = {cfg.reg_lo!r}, reg.hi = {cfg.reg_hi!r}: {exc}"
+            ) from None
     if cfg.problem_reg_split not in _REG_SPLITS:
         raise ConfigError(f"problem.reg_split must be one of {_REG_SPLITS}")
     if cfg.algo_init not in _INITS:

@@ -359,7 +359,7 @@ def schedule_from_matrices(matrices, B: int) -> PeriodicSchedule:
 
 
 def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
-    """Effective mixing matrix of iteration k, as a fresh writable array.
+    """Effective mixing matrix of iteration k, as a read-only array.
 
     Iteration k consumes slots slots_before(k) .. slots_before(k) + k - 1
     and mixes with the ordered product A(t) ... A(s) of those k matrices:
@@ -375,7 +375,9 @@ def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
     for bit whatever was asked before.  Each slot is applied by its
     AdjacencyMatrix.mix: pair averages for a matching slot, which round
     like the dense product (see mix), and the dense product otherwise.
-    The module docstring says why a matrix power is not used.
+    The module docstring says why a matrix power is not used.  The
+    stored product is returned as it is: a later call replaces it with a
+    new array, and never writes to one it has handed out.
     """
     start = slots_before(k)
     phase = None if schedule.period is None else start % schedule.period
@@ -384,9 +386,10 @@ def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
         length, product = 1, schedule.matrix(start).w
     for t in range(start + length, start + k):
         product = schedule.matrix(t).mix(product)
+    product.flags.writeable = False
     if phase is not None:
         schedule._prefixes[phase] = (k, product)
-    return product.copy()
+    return product
 
 
 class DisconnectedSchedule(ValueError):

@@ -58,17 +58,12 @@ The strings and lists of a block cost about 140-190 bytes per feature
 while it is converted: 0.4 MB for 256 covtype-shaped lines (12 features
 each) and 23 MB for 256 lines of 500 features, but 13 MB for 8192
 covtype-shaped lines and about 0.7 GB for 8192 lines of 500 features.
-Larger blocks do not parse faster.  Only one block's strings and arrays
-are alive at a time: parse_libsvm copies each block's arrays into arrays
-sized for the whole file and drops them, so the block size sets how much
-a block holds while it is converted, not what the parse keeps.  The
-dense fill runs _BLOCK_LINES rows at a time too, so its temporaries stay
-as small; the parse peaks there, at the dense matrix plus the flat
-arrays.
+Larger blocks do not parse faster.  Only one block's strings are alive
+at a time, and each block is written straight into arrays sized for the
+whole file, so the block size bounds what a block holds while it is
+converted, not what the parse keeps.  The dense fill runs _BLOCK_LINES
+rows at a time too.
 """
-
-_NARROW_INDEX = np.int32
-"""Dtype of parse_libsvm's flat index array until an index needs int64."""
 
 
 def _shard_order(count: int, seed: int) -> np.ndarray:
@@ -85,7 +80,9 @@ def parse_libsvm(
     and a blank line is skipped; the first whitespace-separated token is
     the label, read by float(); every further token is idx:val with
     exactly one colon and text on both sides, idx read by int() and val by
-    float().  Indices are 1-based and strictly increasing within a line.
+    float().  Indices are 1-based, strictly increasing within a line and
+    at most 2**31 - 1: LIBSVM's own reader stores an index in a C int, and
+    a dense row that wide would take 16 GiB.
     A path (os.PathLike) is read as UTF-8 text; a str source is split with
     str.splitlines; any other iterable yields one line per item.  The
     first malformed line raises ValueError naming its 1-based line number.
@@ -104,18 +101,17 @@ def parse_libsvm(
     line to name its first bad line.
 
     Memory: every well-formed feature has exactly one colon, so the
-    colon count of the source sizes one flat index array (int32, widened
-    once to int64 if an index needs it) and one flat value array before
-    the first block; one label array and one array of features per line
-    are sized by the line count.  Besides the split lines and the dense
-    matrix, that is 12 bytes per feature and 16 per line.  A text read
-    from a path is freed once it is split; a caller's text stays alive
-    through the call.  Each block's arrays are copied into slices of the
-    flat arrays and dropped before the next block is converted.  The
-    split lines are freed before the dense matrix is filled, each row
-    straight into its final position, _BLOCK_LINES rows at a time and
-    without full-size temporaries; the flat arrays are freed before the
-    Dataset checks the matrix.
+    colon count of the source sizes one flat int32 index array and one
+    flat value array before the first block; one label array and one
+    array of features per line are sized by the line count.  Besides the
+    split lines and the dense matrix, that is 12 bytes per feature and 16
+    per line.  A text read from a path is freed once it is split; a
+    caller's text stays alive through the call.  Each block is converted
+    straight into its slices of these arrays.  The split lines are freed
+    before the dense matrix is filled, each row straight into its final
+    position, _BLOCK_LINES rows at a time and without full-size
+    temporaries; the flat arrays are freed before the Dataset checks the
+    matrix.
     """
     if isinstance(source, os.PathLike):
         source = Path(source).read_text(encoding="utf-8")
@@ -128,36 +124,27 @@ def parse_libsvm(
     del source  # a text read here is freed before the first block
     raw_labels = np.empty(len(lines))
     counts = np.empty(len(lines), dtype=np.intp)
-    indices = np.empty(colons, dtype=_NARROW_INDEX)
+    indices = np.empty(colons, dtype=np.int32)
     values = np.empty(colons)
-    samples = tokens = max_index = 0
+    samples = tokens = 0
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
-        parsed = _parse_block(block)
-        if parsed is None:
+        written = _parse_block(
+            block,
+            raw_labels[samples:],
+            counts[samples:],
+            indices[tokens:],
+            values[tokens:],
+        )
+        if written is None:
             raise ValueError(_first_error(block, start + 1))
-        block_labels, block_counts, block_indices, block_values = parsed
-        block_rows = slice(samples, samples + block_labels.size)
-        block_tokens = slice(tokens, tokens + block_indices.size)
-        raw_labels[block_rows] = block_labels
-        counts[block_rows] = block_counts
-        values[block_tokens] = block_values
-        if block_indices.size:
-            max_index = max(max_index, int(block_indices.max()))
-        # An index past int64 (an object array of Python ints) cannot be
-        # stored, and need not be: max_index then exceeds any dimension
-        # np.zeros accepts, so a dimension error is raised before the fill.
-        if block_indices.dtype != object:
-            if indices.dtype != np.int64 and max_index > np.iinfo(indices.dtype).max:
-                indices = indices.astype(np.int64)
-            indices[block_tokens] = block_indices
-        samples, tokens = block_rows.stop, block_tokens.stop
-        # Free the block's arrays before the next block is converted.
-        del parsed, block_labels, block_counts, block_indices, block_values
+        samples += written[0]
+        tokens += written[1]
     del lines  # before the dense matrix is filled
     if samples == 0:
         raise ValueError("no samples found")
     raw_labels, counts = raw_labels[:samples], counts[:samples]
+    max_index = int(indices[:tokens].max()) if tokens else 0
 
     seen = set(raw_labels.tolist())
     for negative, positive in _LABEL_FAMILIES:
@@ -190,13 +177,21 @@ def parse_libsvm(
     return Dataset(features, labels)
 
 
-def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
-    """(labels, features per sample, indices, values) of a block of lines.
+def _parse_block(
+    lines: list[str],
+    labels: np.ndarray,
+    counts: np.ndarray,
+    indices: np.ndarray,
+    values: np.ndarray,
+) -> tuple[int, int] | None:
+    """Write a block of lines to the start of each array; (samples, features).
 
-    Returns None when any line breaks the grammar of parse_libsvm.
+    counts receives the features of each sample.  Returns None when any
+    line breaks the grammar of parse_libsvm.
     """
     samples = [parts for parts in (raw.split(None, 1) for raw in lines) if parts]
     text = " ".join([parts[1] for parts in samples if len(parts) == 2])
+    # Whitespace tokens, not colons, so that "1 :2" and "1: 2" are rejected.
     tokens = len(text.split())
     # With each colon as its own piece, well-formed features read
     # idx : val idx : val ...; a token with no colon, two colons or an
@@ -208,29 +203,25 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
         and pieces[1::3].count(":") == tokens
     ):
         return None
+    rows = len(samples)
     try:
-        labels = np.array([parts[0] for parts in samples], dtype=float)
-        values = np.array(pieces[2::3], dtype=float)
-        try:
-            indices = np.array(pieces[0::3], dtype=np.int64)
-        except OverflowError:
-            # Past int64 an index is still well formed; Python ints keep
-            # the dimension errors after the parse as exact as before.
-            indices = np.array([int(piece) for piece in pieces[0::3]], dtype=object)
-    except ValueError:
+        labels[:rows] = [parts[0] for parts in samples]
+        values[:tokens] = pieces[2::3]
+        indices[:tokens] = pieces[0::3]
+    except (ValueError, OverflowError):  # OverflowError: past the int32 range
         return None
-    counts = np.array(
-        [parts[1].count(":") if len(parts) == 2 else 0 for parts in samples],
-        dtype=np.intp,
-    )
+    counts[:rows] = [
+        parts[1].count(":") if len(parts) == 2 else 0 for parts in samples
+    ]
     # Each index must exceed the one before it on its line, or 0 first.
+    indices, counts = indices[:tokens], counts[:rows]
     previous = np.zeros_like(indices)
     previous[1:] = indices[:-1]
     starts = np.cumsum(counts) - counts
     previous[starts[counts > 0]] = 0
     if np.any(indices <= previous):
         return None
-    return labels, counts, indices, values
+    return rows, tokens
 
 
 def _first_error(lines: list[str], first_lineno: int) -> str:
@@ -255,6 +246,8 @@ def _first_error(lines: list[str], first_lineno: int) -> str:
                 return f"line {lineno}: bad feature {token!r}"
             if idx < 1:
                 return f"line {lineno}: index {idx} is not 1-based"
+            if idx > 2**31 - 1:
+                return f"line {lineno}: index {idx} exceeds {2**31 - 1}"
             if idx <= prev:
                 return f"line {lineno}: index {idx} not strictly increasing"
             prev = idx

@@ -275,6 +275,8 @@ def parse_libsvm_by_token(source, n_features: int | None = None):
                 raise ValueError(f"line {lineno}: bad feature {token!r}") from None
             if idx < 1:
                 raise ValueError(f"line {lineno}: index {idx} is not 1-based")
+            if idx > 2**31 - 1:
+                raise ValueError(f"line {lineno}: index {idx} exceeds 2147483647")
             if idx <= prev:
                 raise ValueError(
                     f"line {lineno}: index {idx} not strictly increasing"

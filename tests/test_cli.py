@@ -342,12 +342,14 @@ def test_run_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_run_names_a_data_file_too_large_to_load(tmp_path, capsys):
-    # An index of 10^15 without data.n_override asks for a 2 x 10^15
-    # matrix: 14.2 PiB.
+    # A declared dimension of 10^15 asks for a 2 x 10^15 matrix: 14.2 PiB.
     data = tmp_path / "data.libsvm"
-    data.write_text("+1 1:0.5 1000000000000000:1\n-1 2:1\n")
+    data.write_text("+1 1:0.5 3:1\n-1 2:1\n")
     conf = tmp_path / "exp.conf"
-    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 2\n")
+    conf.write_text(
+        "problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 2\n"
+        "data.n_override = 1000000000000000\n"
+    )
     assert cli.main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: data file {data} is too large to load")
@@ -497,6 +499,20 @@ def test_run_rejects_overrides_before_reading_data(tmp_path, capsys):
     assert cli.main(["run", "--config", str(conf), "--max-iter", "-1"]) == 2
     err = capsys.readouterr().err
     assert "algo.max_iter" in err and "data file" not in err
+
+
+@pytest.mark.parametrize("lo, hi", [("1", "1"), ("2", "-inf")])
+def test_run_rejects_an_empty_box_before_reading_data(tmp_path, capsys, lo, hi):
+    (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        "problem.kind = sigmoid\ndata.path = data.libsvm\n"
+        f"reg.kind = box\nreg.lo = {lo}\nreg.hi = {hi}\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: reg.lo = ") and "reg.hi = " in err
+    assert "need lo < hi" in err and "data file" not in err
 
 
 def test_run_reports_disconnected_schedule(tmp_path, capsys):

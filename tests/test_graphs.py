@@ -187,7 +187,7 @@ def test_consensus_weights_multiply_later_slots_on_the_left() -> None:
     assert np.array_equal(consensus_weights(sched, 3), b.w @ (a.w @ b.w))
     assert not np.allclose(consensus_weights(sched, 2), b.w @ a.w)
     first = consensus_weights(sched, 1)
-    assert np.array_equal(first, a.w) and first.flags.writeable
+    assert np.array_equal(first, a.w) and not first.flags.writeable
 
 
 def test_consensus_weights_slot_window() -> None:
@@ -212,18 +212,22 @@ def test_consensus_weights_slot_window() -> None:
 )
 def test_consensus_weights_match_the_product_from_scratch(data, m, period, ks) -> None:
     # Any order of k, repeats and shorter k included, gives the oracle's
-    # product bit for bit, and at most one stored product per phase.
+    # product bit for bit, and at most one stored product per phase.  A
+    # result is read-only and stays the oracle's product through later calls.
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     subsets = st.lists(st.sampled_from(pairs), unique=True)
     sched = PeriodicSchedule(
         [metropolis_weights(data.draw(subsets), m) for _ in range(period)], B=1
     )
+    results = []
     for k in ks:
         lam = consensus_weights(sched, k)
         assert lam.tobytes() == ordered_product(sched, k).tobytes(), k
         assert len(sched._prefixes) <= period
-        # The caller owns the result; writing to it changes no later call.
-        lam.fill(np.nan)
+        assert not lam.flags.writeable
+        results.append((k, lam))
+    for k, lam in results:
+        assert lam.tobytes() == ordered_product(sched, k).tobytes(), k
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -127,8 +126,8 @@ def _assert_parses_like_token_loop(source, n_features=None) -> None:
         "+1 1:nan",
         "\n\n  \t\n",
         "+1\n-1",
-        # Indices past int64 are well formed; the errors after the parse
-        # decide, in the same order as before.
+        # Indices past 2**31 - 1 fail at their own line, before any
+        # error that the whole file decides.
         "+1 99999999999999999999:1",
         "+1 99999999999999999999:1\n-1 1:1 x",
         "+1 9223372036854775808:1\n3 1:1",
@@ -189,37 +188,18 @@ def test_parse_error_lines_are_numbered_in_the_whole_file() -> None:
         parse_libsvm(text)
 
 
-def test_parse_drops_each_blocks_arrays_before_the_next() -> None:
-    parse_block = objectives._parse_block
-    refs = []
-    alive = []
-
-    def watched(lines):
-        alive.append(sum(ref() is not None for ref in refs))
-        parsed = parse_block(lines)
-        refs.extend(weakref.ref(array) for array in parsed)
-        return parsed
-
-    text = _with(_rows(3 * BLOCK + 1), {})
-    with mock.patch.object(objectives, "_parse_block", watched):
-        data = parse_libsvm(text)
-    assert len(refs) == 4 * 4
-    # No earlier block's labels, counts, indices or values outlive it.
-    assert alive == [0, 0, 0, 0]
-    assert all(ref() is None for ref in refs)
-    outcome = (data.features.shape, data.features.tobytes(), data.labels.tobytes())
-    assert outcome == _outcome(_by_token, text, None)
-
-
-def test_parse_widens_the_index_array_once_an_index_needs_it() -> None:
-    # The first two blocks fit the narrow array; the last one widens it,
-    # and the indices stored before must survive the widening.
-    lines = [f"{'+1' if i % 3 else '-1'} {i % 5 + 1}:1.5" for i in range(2 * BLOCK)]
-    text = _with(lines + ["-1 2:0.5 200:2"], {})
-    with mock.patch.object(objectives, "_NARROW_INDEX", np.int8):
-        _assert_parses_like_token_loop(text)
+def test_parse_rejects_an_index_past_int32_at_its_line() -> None:
+    # A declared dimension keeps the largest index from sizing a dense row.
+    with pytest.raises(ValueError, match="^feature index 2147483647 exceeds declared"):
+        parse_libsvm("+1 2147483647:1\n", n_features=5)
     text = "+1 2147483647:1\n-1 1:1 2147483648:1\n"
-    with pytest.raises(ValueError, match="^feature index 2147483648 exceeds"):
+    message = "^line 2: index 2147483648 exceeds 2147483647$"
+    with pytest.raises(ValueError, match=message):
+        parse_libsvm(text, n_features=5)
+    _assert_parses_like_token_loop(text, 5)
+    # The line error comes before a malformed later line.
+    text = "+1 1:1\n-1 2147483648:1\n+1 x\n"
+    with pytest.raises(ValueError, match="^line 2: index 2147483648 exceeds"):
         parse_libsvm(text, n_features=5)
     _assert_parses_like_token_loop(text, 5)
 
@@ -235,10 +215,15 @@ def test_parse_reads_a_path_as_utf8(tmp_path) -> None:
 
 
 # Fuzzed tokens are at most five characters, so an index stays below 10^5
-# and a dense matrix of unset dimension stays small.
-_FUZZ_TOKENS = st.text("0123456789:.+-ex", min_size=1, max_size=5) | st.lists(
-    st.sampled_from(["", "1", "2", "0.5", "x"]), min_size=1, max_size=3
-).map(":".join).filter(bool)
+# and a dense matrix of unset dimension stays small.  The longer tokens
+# all hold an index outside the int32 range, which fails at its line.
+_FUZZ_TOKENS = (
+    st.text("0123456789:.+-ex", min_size=1, max_size=5)
+    | st.lists(st.sampled_from(["", "1", "2", "0.5", "x"]), min_size=1, max_size=3)
+    .map(":".join)
+    .filter(bool)
+    | st.sampled_from(["2147483648:1", "-2147483649:1", "99999999999999999999:x"])
+)
 _SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
 _LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", "\r"])
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
