@@ -182,6 +182,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"algo.init_scale must be finite, got {cfg.algo_init_scale}")
     if cfg.graph_m < 1:
         raise ConfigError(f"graph.m must be >= 1, got {cfg.graph_m}")
+    for key in ("problem.seed", "graph.seed", "algo.seed"):
+        seed = getattr(cfg, key.replace(".", "_", 1))
+        if seed < 0:
+            raise ConfigError(f"{key} must be >= 0, got {seed}")
     if cfg.graph_B is not None and cfg.graph_B < 1:
         raise ConfigError(f"graph.B must be >= 1, got {cfg.graph_B}")
     if cfg.algo_max_iter < 0:

@@ -23,7 +23,8 @@ class IterationMetrics:
     either because the regularizer has unbounded subgradients or because
     the averaged iterate left the ball on which the bound was declared.
     rate_T_times_stat is the running sum of squared mean-iterate moves,
-    which equals T times the rate statistic at T.
+    which is T times their mean over the first T iterations, the rate
+    statistic.
     """
 
     k: int
@@ -127,15 +128,6 @@ def geometric_envelope(geo, k: int, q_all: np.ndarray) -> float:
     q_all = np.asarray(q_all, dtype=float)
     total = float(np.linalg.norm(q_all, axis=1).sum())
     return 2.0 * geo.Gamma * geo.gamma**k * total
-
-
-def rate_statistic(rows, T: int) -> float:
-    """Mean squared mean-iterate movement over the first T iterations."""
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
-    if T > len(rows) - 1:
-        raise ValueError(f"trace has only {len(rows) - 1} iterations, need {T}")
-    return sum(rows[k].dx_norm**2 for k in range(1, T + 1)) / T
 
 
 def _format(value) -> str:

@@ -25,6 +25,11 @@ exact zeros to two exact halves, so each of its entries rounds once, to
 the same value the pair average gives; the traces do not change.
 Metropolis and supplied slots of any other shape keep the dense product.
 
+The complete, ring, matchings and random generators build each slot's
+graph as a boolean adjacency mask, which one numpy builder turns into
+Metropolis weights.  Edge lists are accepted only by the public
+:func:`metropolis_weights`, which checks them as it writes their mask.
+
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
 :func:`validate_schedule` checks the first over one period of a periodic
@@ -101,11 +106,6 @@ class AdjacencyMatrix:
         positive = self.w[self.w > 0]
         return float(positive.min()) if positive.size else 0.0
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Undirected positive-weight edges as (i, j) pairs with i < j."""
-        rows, cols = np.nonzero(np.triu(self.w, k=1))
-        return list(zip(rows.tolist(), cols.tolist()))
-
     @cached_property
     def _partner(self) -> np.ndarray | None:
         """Each agent's matched partner (itself when unmatched), or None.
@@ -158,6 +158,9 @@ def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
     symmetric and doubly stochastic for any topology, every positive entry
     is at least 1/m, and isolated nodes keep full self-weight.
 
+    Edge lists are accepted here only; the edges are checked as they are
+    written into an adjacency mask, as the generators build theirs.
+
     Parameters
     ----------
     edge_set : iterable of (i, j) pairs
@@ -168,28 +171,33 @@ def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
     """
     if m < 1:
         raise ValueError(f"need at least one agent, got m={m}")
-    seen: set[frozenset[int]] = set()
-    edges: list[tuple[int, int]] = []
+    adj = np.zeros((m, m), dtype=bool)
     for i, j in edge_set:
         if not (0 <= i < m and 0 <= j < m):
             raise ValueError(f"edge ({i}, {j}) out of range for m={m}")
         if i == j:
             raise ValueError(f"self-loop at node {i} is not allowed")
-        key = frozenset((i, j))
-        if key in seen:
+        if adj[i, j]:
             raise ValueError(f"duplicate edge ({i}, {j})")
-        seen.add(key)
-        edges.append((i, j))
+        adj[i, j] = adj[j, i] = True
+    return _metropolis(adj)
 
-    degree = np.zeros(m, dtype=int)
-    for i, j in edges:
-        degree[i] += 1
-        degree[j] += 1
-    w = np.zeros((m, m))
-    for i, j in edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
+
+def _metropolis(adj: np.ndarray) -> AdjacencyMatrix:
+    """Metropolis weights of the edges where adj or adj.T is True, off the diagonal."""
+    adj = adj | adj.T
+    np.fill_diagonal(adj, False)
+    degree = adj.sum(axis=1)
+    w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(degree, degree)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return AdjacencyMatrix(w, tol=GENERATED_TOL)
+
+
+def _ring_mask(m: int, starts: np.ndarray) -> np.ndarray:
+    """Adjacency mask of the ring edges {i, (i + 1) % m} for i in starts."""
+    adj = np.zeros((m, m), dtype=bool)
+    adj[starts, (starts + 1) % m] = True
+    return adj
 
 
 class Schedule:
@@ -268,15 +276,12 @@ class RandomSchedule(Schedule):
         for pos in range(self.B):
             if pos == 0 and self.m > 1:
                 order = rng.permutation(self.m)
-                edges = [
-                    (int(order[i]), int(order[int(rng.integers(i))]))
-                    for i in range(1, self.m)
-                ]
+                parents = [rng.integers(i) for i in range(1, self.m)]
+                adj = np.zeros((self.m, self.m), dtype=bool)
+                adj[order[1:], order[parents]] = True
             else:
-                mask = rng.random((self.m, self.m)) < 0.25
-                rows, cols = np.nonzero(np.triu(mask, k=1))
-                edges = list(zip(rows.tolist(), cols.tolist()))
-            mats.append(metropolis_weights(edges, self.m))
+                adj = np.triu(rng.random((self.m, self.m)) < 0.25, k=1)
+            mats.append(_metropolis(adj))
         if not _connected(mats[0].w > 0):
             raise DisconnectedSchedule(
                 f"disconnected schedule window: the tree slot {window * self.B}, "
@@ -296,19 +301,12 @@ class RandomSchedule(Schedule):
 
 def complete_schedule(m: int, B: int = 1) -> PeriodicSchedule:
     """All-to-all graph at every slot (Metropolis weights are uniform 1/m)."""
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    return PeriodicSchedule([metropolis_weights(edges, m)], B=B)
+    return PeriodicSchedule([_metropolis(np.ones((m, m), dtype=bool))], B=B)
 
 
 def ring_schedule(m: int, B: int = 1) -> PeriodicSchedule:
     """Ring graph at every slot."""
-    if m == 1:
-        edges = []
-    elif m == 2:
-        edges = [(0, 1)]
-    else:
-        edges = [(i, (i + 1) % m) for i in range(m)]
-    return PeriodicSchedule([metropolis_weights(edges, m)], B=B)
+    return PeriodicSchedule([_metropolis(_ring_mask(m, np.arange(m)))], B=B)
 
 
 def ring_matchings_schedule(m: int) -> PeriodicSchedule:
@@ -320,13 +318,9 @@ def ring_matchings_schedule(m: int) -> PeriodicSchedule:
     """
     if m < 2:
         raise ValueError(f"matchings need at least two agents, got m={m}")
-    even = [(i, i + 1) for i in range(0, m - 1, 2)]
-    odd = [(i, (i + 1) % m) for i in range(1, m, 2) if (i + 1) % m != i]
-    # For m = 2 both matchings collapse to the single available edge.
-    odd = [(min(i, j), max(i, j)) for i, j in odd]
-    return PeriodicSchedule(
-        [metropolis_weights(even, m), metropolis_weights(odd, m)], B=2
-    )
+    even = _ring_mask(m, np.arange(0, m - 1, 2))
+    odd = _ring_mask(m, np.arange(1, m, 2))
+    return PeriodicSchedule([_metropolis(even), _metropolis(odd)], B=2)
 
 
 def read_matrix_file(path) -> list[np.ndarray]:

@@ -54,11 +54,14 @@ def break_random_tree(monkeypatch, B: int, window: int) -> None:
     The tree slot is the first of the B Metropolis builds of its window,
     so with windows built in order, once each, it is build B * window.
     """
-    build = graphs.metropolis_weights
+    build = graphs._metropolis
     calls = count()
 
-    def patched(edges, m):
-        edges = list(edges)
-        return build(edges[:-1] if next(calls) == B * window else edges, m)
+    def patched(adj):
+        if next(calls) == B * window:
+            adj = adj | adj.T
+            i, j = np.argwhere(np.triu(adj, k=1))[-1]
+            adj[i, j] = adj[j, i] = False
+        return build(adj)
 
-    monkeypatch.setattr(graphs, "metropolis_weights", patched)
+    monkeypatch.setattr(graphs, "_metropolis", patched)

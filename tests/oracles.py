@@ -6,10 +6,12 @@ values in the test suite come from a second computational route:
 golden-section search for one-dimensional proximal points, central finite
 differences for gradients, breadth-first search for connectivity, a plain
 centralized proximal gradient loop for reference minimizers, a power
-iteration on one matrix at a time for spectral norm estimates, a
-token-by-token LIBSVM reader, shard row indices counted out one shard at a
-time, an iteration's mixing matrix multiplied out from scratch, and the
-sigmoid with a sum and a quotient of its own in each branch.
+iteration on one matrix at a time for spectral norm estimates,
+Metropolis weights built edge by edge from an edge list, the edge lists
+a random schedule's window draws, a token-by-token LIBSVM reader, shard
+row indices counted out one shard at a time, an iteration's mixing
+matrix multiplied out from scratch, and the sigmoid with a sum and a
+quotient of its own in each branch.
 trace_rows assembles every trace row from a run's snapshots, row 0 and the
 later rows written out separately; it calls the package's certificate
 functions, which have their own tests.
@@ -95,6 +97,57 @@ def bfs_connected(m: int, edges) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == m
+
+
+def edges(w: np.ndarray) -> list[tuple[int, int]]:
+    """Undirected positive-weight edges of w as (i, j) pairs with i < j."""
+    rows, cols = np.nonzero(np.triu(w, k=1))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def metropolis_by_edges(edge_list, m: int) -> np.ndarray:
+    """Metropolis weights from an edge list, one edge at a time.
+
+    Edge {i, j} gets 1 / (1 + max(deg_i, deg_j)) and each diagonal entry
+    the leftover of its row.  Self-loops, duplicates in either orientation
+    and out-of-range nodes are rejected.
+    """
+    seen: set[frozenset[int]] = set()
+    for i, j in edge_list:
+        if not (0 <= i < m and 0 <= j < m) or i == j or frozenset((i, j)) in seen:
+            raise ValueError(f"bad edge ({i}, {j}) for m={m}")
+        seen.add(frozenset((i, j)))
+    degree = np.zeros(m, dtype=int)
+    for i, j in edge_list:
+        degree[i] += 1
+        degree[j] += 1
+    w = np.zeros((m, m))
+    for i, j in edge_list:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def random_window_edges(seed: int, window: int, m: int, B: int) -> list:
+    """Edge lists of the B slots of a random schedule's window.
+
+    The first slot is a spanning tree that attaches each node of a seeded
+    permutation to a uniformly drawn earlier one (when m > 1); every other
+    slot keeps each pair i < j where a uniform draw falls below 1/4.
+    """
+    rng = np.random.default_rng([seed, window])
+    slots = []
+    for pos in range(B):
+        if pos == 0 and m > 1:
+            order = rng.permutation(m)
+            slots.append(
+                [(int(order[i]), int(order[int(rng.integers(i))])) for i in range(1, m)]
+            )
+        else:
+            keep = rng.random((m, m)) < 0.25
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            slots.append([(i, j) for i, j in pairs if keep[i, j]])
+    return slots
 
 
 def spectral_norm_power(q: np.ndarray, rel_tol: float = 1e-8) -> float:

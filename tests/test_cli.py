@@ -501,6 +501,26 @@ def test_run_rejects_overrides_before_reading_data(tmp_path, capsys):
     assert "algo.max_iter" in err and "data file" not in err
 
 
+@pytest.mark.parametrize(
+    "setting", ["problem.seed", "graph.seed", "algo.seed", "--seed"]
+)
+def test_run_rejects_a_negative_seed_before_reading_data(tmp_path, capsys, setting):
+    # --seed sets all three seeds; the first one checked is named.
+    (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n")
+    argv = ["run", "--config", str(conf)]
+    if setting == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        conf.write_text(conf.read_text() + f"{setting} = -1\n")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    key = "problem.seed" if setting == "--seed" else setting
+    assert err.startswith(f"config error: {key} must be >= 0, got -1")
+    assert "data file" not in err
+
+
 @pytest.mark.parametrize("lo, hi", [("1", "1"), ("2", "-inf")])
 def test_run_rejects_an_empty_box_before_reading_data(tmp_path, capsys, lo, hi):
     (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")

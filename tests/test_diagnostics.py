@@ -12,7 +12,6 @@ from proxnet.diagnostics import (
     geometric_envelope,
     gradient_averaging_error,
     prox_inexactness,
-    rate_statistic,
     stationarity_bound,
     write_trace_csv,
 )
@@ -21,22 +20,6 @@ from proxnet.objectives import Quadratic
 from proxnet.regularizers import check_inexact_prox
 
 from fixtures import matchings_run
-
-
-def _row(k: int, dx: float) -> IterationMetrics:
-    return IterationMetrics(
-        k=k,
-        comm_cumulative=k * (k + 1) // 2,
-        f_avg=0.0,
-        D=0.0,
-        dx_norm=dx,
-        e_norm=0.0,
-        eps=0.0,
-        residual_bound=0.0,
-        max_consensus_gap=0.0,
-        geo_bound=0.0,
-        rate_T_times_stat=0.0,
-    )
 
 
 def test_gradient_error_zero_when_agents_agree() -> None:
@@ -211,38 +194,15 @@ def test_geometric_envelope() -> None:
         geometric_envelope(geo, 0, q)
 
 
-def test_rate_statistic_constant_trajectory() -> None:
-    rows = [_row(k, 0.0) for k in range(6)]
-    assert rate_statistic(rows, 5) == 0.0
-
-
-def test_rate_statistic_harmonic_series() -> None:
-    # dx_k = c/k gives statistic c^2 H_T^(2) / T with the partial sum
-    # H_T^(2) = sum 1/k^2.
-    c = 0.3
-    T = 50
-    rows = [_row(0, 0.0)] + [_row(k, c / k) for k in range(1, T + 1)]
-    partial = sum(1.0 / k**2 for k in range(1, T + 1))
-    assert rate_statistic(rows, T) == pytest.approx(c * c * partial / T)
-
-
-def test_rate_statistic_validation() -> None:
-    rows = [_row(k, 0.1) for k in range(4)]
-    with pytest.raises(ValueError):
-        rate_statistic(rows, 0)
-    with pytest.raises(ValueError):
-        rate_statistic(rows, 4)
-
-
 def test_rate_statistic_bounded_on_run() -> None:
-    # T * statistic settles: it cannot keep growing if the squared moves
-    # are summable, and on the fixture the tail adds nearly nothing.
+    # T * statistic, the running sum of squared mean-iterate moves in the
+    # rate_T_times_stat column, settles: it cannot keep growing if the
+    # squared moves are summable, and on the fixture the tail adds nearly
+    # nothing.
     _, trace = matchings_run()
-    t_stat = {T: T * rate_statistic(trace.rows, T) for T in (50, 100, 200)}
+    t_stat = {T: trace.rows[T].rate_T_times_stat for T in (50, 100, 200)}
     assert t_stat[100] <= t_stat[50] * (1 + 1e-9) + 1e-18
     assert t_stat[200] <= t_stat[100] * (1 + 1e-9) + 1e-18
-    # Running column agrees with the recomputed statistic.
-    assert trace.rows[200].rate_T_times_stat == pytest.approx(t_stat[200])
 
 
 def test_consensus_gap_shrinks_and_stays_bounded() -> None:

@@ -23,7 +23,13 @@ from proxnet.graphs import (
 )
 
 from fixtures import break_random_tree
-from oracles import bfs_connected, ordered_product
+from oracles import (
+    bfs_connected,
+    edges,
+    metropolis_by_edges,
+    ordered_product,
+    random_window_edges,
+)
 
 
 def test_slots_before_triangular() -> None:
@@ -114,9 +120,47 @@ def test_adjacency_matrix_is_a_read_only_copy() -> None:
 
 def test_adjacency_edges_and_eta() -> None:
     adj = metropolis_weights([(0, 1), (1, 2)], 3)
-    assert adj.edges() == [(0, 1), (1, 2)]
+    assert edges(adj.w) == [(0, 1), (1, 2)]
     assert adj.eta == pytest.approx(1 / 3)
     assert adj.m == 3
+
+
+def _same_bits(adj: AdjacencyMatrix, edge_list) -> bool:
+    return adj.w.tobytes() == metropolis_by_edges(edge_list, adj.m).tobytes()
+
+
+def test_periodic_generators_match_the_edge_list_oracle() -> None:
+    # Each generator's graph as an edge list: the ring has no edge at
+    # m = 1 and one at m = 2, and an odd matching edge is (min, max) of
+    # (i, (i + 1) % m), which wraps around for even m.
+    for m in range(1, 41):
+        complete = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        assert _same_bits(complete_schedule(m).matrix(0), complete), m
+        if m > 2:
+            ring = [(i, (i + 1) % m) for i in range(m)]
+        else:
+            ring = [(0, 1)] if m == 2 else []
+        assert _same_bits(ring_schedule(m).matrix(0), ring), m
+    for m in [*range(2, 41), 200]:
+        sched = ring_matchings_schedule(m)
+        even = [(i, i + 1) for i in range(0, m - 1, 2)]
+        odd = [(min(i, (i + 1) % m), max(i, (i + 1) % m)) for i in range(1, m, 2)]
+        assert _same_bits(sched.matrix(0), even), m
+        assert _same_bits(sched.matrix(1), odd), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    B=st.integers(1, 3),
+    window=st.integers(0, 5),
+)
+def test_random_windows_match_the_edge_list_oracle(seed, m, B, window) -> None:
+    sched = RandomSchedule(m=m, B=B, seed=seed)
+    drawn = random_window_edges(seed, window, m, B)
+    for pos, edge_list in enumerate(drawn):
+        assert _same_bits(sched.matrix(window * B + pos), edge_list), pos
 
 
 def test_complete_schedule_uniform() -> None:
@@ -137,8 +181,8 @@ def test_ring_matchings_cover_ring() -> None:
     for m in (2, 3, 4, 5, 10, 11):
         sched = ring_matchings_schedule(m)
         assert sched.B == 2
-        even_edges = sched.matrix(0).edges()
-        odd_edges = sched.matrix(1).edges()
+        even_edges = edges(sched.matrix(0).w)
+        odd_edges = edges(sched.matrix(1).w)
         union = even_edges + [e for e in odd_edges if e not in even_edges]
         assert bfs_connected(m, union)
         if m >= 4:
@@ -431,12 +475,12 @@ def _first_disconnected_window(sched, horizon):
     disconnected, by breadth-first search over every window; None if all
     are connected."""
     for start in range(horizon - sched.B + 1):
-        edges = [
+        union = [
             edge
             for t in range(start, start + sched.B)
-            for edge in sched.matrix(t).edges()
+            for edge in edges(sched.matrix(t).w)
         ]
-        if not bfs_connected(sched.m, edges):
+        if not bfs_connected(sched.m, union):
             return start
     return None
 
