@@ -10,9 +10,7 @@ environment override is OUTPUT_DIR, which relocates relative output paths.
 
 Exit codes: 0 success, 1 failed check (validate-graph, prox-check),
 2 config error or, for run, a schedule that is not window-connected
-(before the first iteration for a periodic schedule; mid-run, at the
-first window built that fails, for a random one), 3 step-size violation,
-4 numerical fault.
+(before the first iteration), 3 step-size violation, 4 numerical fault.
 """
 
 from __future__ import annotations
@@ -393,7 +391,12 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
     if getattr(args, "max_iter", None) is not None:
         cfg.algo_max_iter = args.max_iter
     if getattr(args, "alpha", None) is not None:
-        cfg.algo_alpha = _to_alpha(args.alpha)
+        try:
+            cfg.algo_alpha = _to_alpha(args.alpha)
+        except ValueError:
+            raise ConfigError(
+                f"--alpha takes a number or 'auto', got {args.alpha!r}"
+            ) from None
 
 
 def cmd_run(args) -> int:
@@ -460,12 +463,6 @@ def cmd_validate_graph(args) -> int:
     horizon = args.horizon if args.horizon is not None else max(50, 2 * schedule.B)
     try:
         validate_schedule(schedule, horizon)
-        if schedule.period is None:
-            # validate_schedule reads no slot of a random schedule; reading
-            # the tree slot of each window in the horizon builds the
-            # window, and the build checks that its tree connects.
-            for t in range(0, horizon, schedule.B):
-                schedule.matrix(t)
     except DisconnectedSchedule as exc:
         print(exc)
         return 1
@@ -491,6 +488,10 @@ def _golden_minimize(func, lo: float, hi: float, width: float = 1e-9) -> float:
 
 
 def cmd_prox_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

@@ -33,14 +33,11 @@ Metropolis weights.  Edge lists are accepted only by the public
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
 :func:`validate_schedule` checks the first over one period of a periodic
-schedule's windows.  A random schedule checks its own: every B
-consecutive slots hold exactly one of its tree slots, so a window is
-connected when that tree is, and each tree is checked once, when its
-window is built, so a run may stop mid-way at one that fails.  The
-floor needs no check: a schedule does not declare it but derives it
-from its own matrices, as the smallest positive entry of a periodic
-schedule and as 1/m for the Metropolis slots of a random schedule, so
-it holds by construction.
+schedule's windows.  A random schedule is connected by construction (see
+RandomSchedule).  The floor needs no check: a schedule does not declare
+it but derives it from its own matrices, as the smallest positive entry
+of a periodic schedule and as 1/m for the Metropolis slots of a random
+schedule, so it holds by construction.
 """
 
 from __future__ import annotations
@@ -205,8 +202,7 @@ class Schedule:
 
     Subclasses implement :meth:`matrix`.  A schedule whose slots repeat
     sets ``period``; validation then reads one period of windows, and
-    consensus_weights keeps one prefix product per phase.  A schedule
-    without a period checks its windows itself, as it builds them.
+    consensus_weights keeps one prefix product per phase.
     """
 
     period: int | None = None
@@ -254,12 +250,9 @@ class RandomSchedule(Schedule):
     Slot t holds a random spanning tree when t is a multiple of B; the other
     slots keep each possible edge independently with probability 1/4.
     Every run of B consecutive slots, aligned to a multiple of B or not,
-    contains exactly one tree slot, so both window notions are connected
-    when the trees are.  Building a window checks its tree slot and raises
-    DisconnectedSchedule if it does not connect all agents, so every
-    window a run reads is checked once, without a walk over the horizon
-    before the run.  Identical seeds reproduce identical matrices at
-    every slot.
+    contains exactly one tree slot, and each tree spans all agents by
+    construction: every node of a random order attaches to one placed
+    before it.  Identical seeds reproduce identical matrices at every slot.
     """
 
     def __init__(self, m: int, B: int, seed: int) -> None:
@@ -282,12 +275,6 @@ class RandomSchedule(Schedule):
             else:
                 adj = np.triu(rng.random((self.m, self.m)) < 0.25, k=1)
             mats.append(_metropolis(adj))
-        if not _connected(mats[0].w > 0):
-            raise DisconnectedSchedule(
-                f"disconnected schedule window: the tree slot {window * self.B}, "
-                f"first slot of random window {window}, does not connect all "
-                f"{self.m} agents"
-            )
         return mats
 
     def matrix(self, t: int) -> AdjacencyMatrix:
@@ -411,9 +398,8 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
     schedule repeats its windows, so only the first min(horizon - B + 1,
     period) window starts are examined, reading at most period + B - 1
     slots whatever the horizon.  Raises DisconnectedSchedule at the first
-    window that fails.  A schedule without a period is not read: a random
-    schedule checks each window's tree slot when it builds the window (see
-    RandomSchedule), so a walk here would only build every window twice.
+    window that fails.  A schedule without a period, a random one, is not
+    read: it is connected by construction (see RandomSchedule).
 
     Nothing else needs a check here.  Every slot matrix is an
     AdjacencyMatrix, which enforces symmetry and double stochasticity when

@@ -1,12 +1,9 @@
-"""Shared run fixtures, cached because several test modules replay them,
-and a patch that breaks one random window's tree."""
+"""Shared run fixtures, cached because several test modules replay them."""
 
 from functools import lru_cache
-from itertools import count
 
 import numpy as np
 
-from proxnet import graphs
 from proxnet.graphs import complete_schedule, ring_matchings_schedule
 from proxnet.objectives import quadratic_family
 from proxnet.regularizers import L1
@@ -47,21 +44,3 @@ def small_quadratic_run():
     )
     return setup, run(setup)
 
-
-def break_random_tree(monkeypatch, B: int, window: int) -> None:
-    """Drop one edge of the tree drawn for a RandomSchedule's window.
-
-    The tree slot is the first of the B Metropolis builds of its window,
-    so with windows built in order, once each, it is build B * window.
-    """
-    build = graphs._metropolis
-    calls = count()
-
-    def patched(adj):
-        if next(calls) == B * window:
-            adj = adj | adj.T
-            i, j = np.argwhere(np.triu(adj, k=1))[-1]
-            adj[i, j] = adj[j, i] = False
-        return build(adj)
-
-    monkeypatch.setattr(graphs, "_metropolis", patched)

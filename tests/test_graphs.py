@@ -22,7 +22,6 @@ from proxnet.graphs import (
     validate_schedule,
 )
 
-from fixtures import break_random_tree
 from oracles import (
     bfs_connected,
     edges,
@@ -460,14 +459,32 @@ def test_random_schedule_holds_one_window() -> None:
         assert adj.w.tobytes() == fresh.matrix(t).w.tobytes()
 
 
-def test_random_schedule_checks_its_tree_slot_when_built(monkeypatch) -> None:
-    break_random_tree(monkeypatch, B=3, window=1)
-    sched = RandomSchedule(m=6, B=3, seed=0)
-    for t in range(3):
-        sched.matrix(t)
-    message = "tree slot 3, first slot of random window 1, does not connect all 6"
-    with pytest.raises(DisconnectedSchedule, match=message):
-        sched.matrix(4)
+def _assert_tree_slot_spans(sched, window) -> None:
+    """The window's tree slot alone has m - 1 edges that connect all agents."""
+    tree = edges(sched.matrix(window * sched.B).w)
+    assert len(tree) == sched.m - 1, window
+    assert bfs_connected(sched.m, tree), window
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 60),
+    B=st.integers(1, 4),
+    window=st.integers(0, 10_000),
+)
+def test_random_tree_slot_is_a_spanning_tree(seed, m, B, window) -> None:
+    # Every B-window holds one tree slot, so this is the schedule's
+    # connectivity; nothing checks it when a window is built.
+    _assert_tree_slot_spans(RandomSchedule(m=m, B=B, seed=seed), window)
+
+
+@pytest.mark.parametrize("m", [200, 1000])
+def test_random_tree_slot_spans_many_agents(m) -> None:
+    for seed in (0, 1, 2):
+        sched = RandomSchedule(m=m, B=3, seed=seed)
+        for window in (0, 1, 7):
+            _assert_tree_slot_spans(sched, window)
 
 
 def _first_disconnected_window(sched, horizon):
