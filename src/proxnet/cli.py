@@ -5,7 +5,10 @@ with #.  Unknown and duplicate keys are errors: configs are provenance
 records and must not silently drift.  The fields of ExperimentConfig are
 the keys: a field's name is its key with the first dot written as an
 underscore (graph.B is graph_B, algo.max_iter is algo_max_iter), and its
-type picks the value's converter.  A float value may not be nan.  The only
+type picks the value's converter.  A float value may not be nan.  The
+values a key accepts are declared with its field (_key: one of `choices`,
+at least `at_least`, `finite`), and _validate_config checks every key
+against its declaration before the rules that relate two keys.  The only
 environment override is OUTPUT_DIR, which relocates relative output paths.
 
 Exit codes: 0 success, 1 failed check (validate-graph, prox-check),
@@ -16,6 +19,7 @@ Exit codes: 0 success, 1 failed check (validate-graph, prox-check),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -72,40 +76,53 @@ def _to_float(raw: str) -> float:
 
 
 def _to_alpha(raw: str):
-    return "auto" if raw == "auto" else float(raw)
+    return "auto" if raw == "auto" else _to_float(raw)
+
+
+def _key(default, *, choices=None, at_least=None, finite=False):
+    """A config field whose value, unless None, is one of `choices`, is
+    >= `at_least` and, if `finite` and a float, is finite."""
+    rules = {"choices": choices, "at_least": at_least, "finite": finite}
+    return dataclasses.field(default=default, metadata=rules)
 
 
 @dataclass
 class ExperimentConfig:
     """All run settings: one field per config key, in dump order."""
 
-    problem_kind: str = "quadratic"
-    problem_n: int = 10
-    problem_seed: int = 0
-    problem_lambda1: float = 5e-4
-    problem_lambda2: float = 5e-4
-    problem_reg_split: str = "h-carries-l2"
+    problem_kind: str = _key("quadratic", choices=("quadratic", "sigmoid"))
+    problem_n: int = _key(10, at_least=1)
+    problem_seed: int = _key(0, at_least=0)
+    problem_lambda1: float = _key(5e-4, at_least=0.0, finite=True)
+    problem_lambda2: float = _key(5e-4, at_least=0.0, finite=True)
+    problem_reg_split: str = _key(
+        "h-carries-l2", choices=("h-carries-l2", "g-carries-l2")
+    )
     data_path: str | None = None
-    data_subsample: int | None = None
-    data_n_override: int | None = None
-    reg_kind: str | None = None
+    data_subsample: int | None = _key(None, at_least=1)
+    data_n_override: int | None = _key(None, at_least=1)
+    reg_kind: str | None = _key(
+        None, choices=("zero", "l1", "squared-l2", "elastic-net", "box")
+    )
     reg_lo: float = -1.0
     reg_hi: float = 1.0
-    graph_kind: str = "complete"
-    graph_m: int = 10
-    graph_B: int | None = None
-    graph_seed: int = 0
+    graph_kind: str = _key(
+        "complete", choices=("complete", "ring", "matchings", "random", "file")
+    )
+    graph_m: int = _key(10, at_least=1)
+    graph_B: int | None = _key(None, at_least=1)
+    graph_seed: int = _key(0, at_least=0)
     graph_path: str | None = None
-    algo_alpha: float | str = "auto"
+    algo_alpha: float | str = _key("auto", finite=True)
     algo_safety: float = 0.9
-    algo_max_iter: int = 100
+    algo_max_iter: int = _key(100, at_least=0)
     algo_tol: float = 1e-8
     algo_early_stop: bool = False
-    algo_init: str = "zeros"
-    algo_init_scale: float = 1.0
-    algo_seed: int = 0
+    algo_init: str = _key("zeros", choices=("zeros", "gaussian"))
+    algo_init_scale: float = _key(1.0, finite=True)
+    algo_seed: int = _key(0, at_least=0)
     output_trace: str = "trace.csv"
-    output_snapshot_every: int = 1
+    output_snapshot_every: int = _key(1, at_least=1)
 
 
 # A field's annotation, a string without "| None", picks its converter.
@@ -118,12 +135,6 @@ _CONVERTERS = {
 }
 # Config key -> field, in dump order, derived from the field names.
 _FIELDS = {field.name.replace("_", ".", 1): field for field in fields(ExperimentConfig)}
-
-_PROBLEM_KINDS = ("quadratic", "sigmoid")
-_GRAPH_KINDS = ("complete", "ring", "matchings", "random", "file")
-_REG_KINDS = ("zero", "l1", "squared-l2", "elastic-net", "box")
-_REG_SPLITS = ("h-carries-l2", "g-carries-l2")
-_INITS = ("zeros", "gaussian")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -155,12 +166,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.problem_kind not in _PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind must be one of {_PROBLEM_KINDS}")
-    if cfg.graph_kind not in _GRAPH_KINDS:
-        raise ConfigError(f"graph.kind must be one of {_GRAPH_KINDS}")
-    if cfg.reg_kind is not None and cfg.reg_kind not in _REG_KINDS:
-        raise ConfigError(f"reg.kind must be one of {_REG_KINDS}")
+    for key, field in _FIELDS.items():
+        value = getattr(cfg, field.name)
+        rules = field.metadata
+        if value is None or not rules:
+            continue
+        choices, bound = rules["choices"], rules["at_least"]
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+        if bound is not None and value < bound:
+            raise ConfigError(f"{key} must be >= {bound}, got {value}")
+        if rules["finite"] and isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.reg_kind == "box":
         try:
             make_regularizer("box", 1, lo=cfg.reg_lo, hi=cfg.reg_hi)
@@ -168,38 +185,24 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"reg.lo = {cfg.reg_lo!r}, reg.hi = {cfg.reg_hi!r}: {exc}"
             ) from None
-    if cfg.problem_reg_split not in _REG_SPLITS:
-        raise ConfigError(f"problem.reg_split must be one of {_REG_SPLITS}")
-    if cfg.algo_init not in _INITS:
-        raise ConfigError(f"algo.init must be one of {_INITS}")
-    if cfg.problem_lambda1 < 0 or cfg.problem_lambda2 < 0:
-        raise ConfigError("penalty weights must be nonnegative")
-    if not (math.isfinite(cfg.problem_lambda1) and math.isfinite(cfg.problem_lambda2)):
-        raise ConfigError("penalty weights must be finite")
-    if not math.isfinite(cfg.algo_init_scale):
-        raise ConfigError(f"algo.init_scale must be finite, got {cfg.algo_init_scale}")
-    if cfg.graph_m < 1:
-        raise ConfigError(f"graph.m must be >= 1, got {cfg.graph_m}")
-    for key in ("problem.seed", "graph.seed", "algo.seed"):
-        seed = getattr(cfg, key.replace(".", "_", 1))
-        if seed < 0:
-            raise ConfigError(f"{key} must be >= 0, got {seed}")
-    if cfg.graph_B is not None and cfg.graph_B < 1:
-        raise ConfigError(f"graph.B must be >= 1, got {cfg.graph_B}")
-    if cfg.algo_max_iter < 0:
-        raise ConfigError(f"algo.max_iter must be >= 0, got {cfg.algo_max_iter}")
-    if cfg.output_snapshot_every < 1:
-        raise ConfigError("output.snapshot_every must be >= 1")
-    if cfg.data_subsample is not None and cfg.data_subsample < 1:
-        raise ConfigError("data.subsample must be >= 1")
-    if cfg.data_n_override is not None and cfg.data_n_override < 1:
-        raise ConfigError(f"data.n_override must be >= 1, got {cfg.data_n_override}")
-    if cfg.problem_n < 1:
-        raise ConfigError(f"problem.n must be >= 1, got {cfg.problem_n}")
     if isinstance(cfg.algo_alpha, float) and not cfg.algo_alpha > 0:
         raise ConfigError(f"algo.alpha must be positive, got {cfg.algo_alpha}")
     if not 0 < cfg.algo_safety < 1:
         raise ConfigError(f"algo.safety must be in (0, 1), got {cfg.algo_safety}")
+    if cfg.graph_kind == "matchings" and cfg.graph_B not in (None, 2):
+        raise ConfigError(
+            f"graph.kind = matchings requires graph.B = 2, got {cfg.graph_B}"
+        )
+    if cfg.graph_kind == "matchings" and cfg.graph_m < 2:
+        raise ConfigError(
+            f"graph.kind = matchings requires graph.m >= 2, got {cfg.graph_m}"
+        )
+    if cfg.graph_kind == "random" and cfg.graph_B is None:
+        raise ConfigError("graph.kind = random requires graph.B")
+    if cfg.graph_kind == "file" and cfg.graph_path is None:
+        raise ConfigError("graph.kind = file requires graph.path")
+    if cfg.problem_kind == "sigmoid" and cfg.data_path is None:
+        raise ConfigError("problem.kind = sigmoid requires data.path")
     if (
         cfg.problem_kind == "sigmoid"
         and cfg.problem_reg_split == "g-carries-l2"
@@ -263,18 +266,10 @@ def build_schedule(cfg: ExperimentConfig) -> Schedule:
     elif kind == "ring":
         schedule = ring_schedule(m, B=cfg.graph_B or 1)
     elif kind == "matchings":
-        if cfg.graph_B not in (None, 2):
-            raise ConfigError("matchings schedules have B = 2")
-        if m < 2:
-            raise ConfigError("matchings need graph.m >= 2")
         schedule = ring_matchings_schedule(m)
     elif kind == "random":
-        if cfg.graph_B is None:
-            raise ConfigError("graph.kind = random requires graph.B")
         schedule = RandomSchedule(m=m, B=cfg.graph_B, seed=cfg.graph_seed)
     else:  # file
-        if cfg.graph_path is None:
-            raise ConfigError("graph.kind = file requires graph.path")
         try:
             matrices = read_matrix_file(cfg.graph_path)
         except (OSError, ValueError) as exc:
@@ -296,8 +291,6 @@ def build_problem(cfg: ExperimentConfig):
     """Construct (objectives, regularizer, n, provenance) from a config."""
     provenance: dict[str, object] = {}
     if cfg.problem_kind == "sigmoid":
-        if cfg.data_path is None:
-            raise ConfigError("problem.kind = sigmoid requires data.path")
         # With m > 1 and the whole file, the parse writes each row into its
         # shard's place and shard cuts views of that one matrix, so the
         # peak is the dense matrix plus the parse's flat arrays (43 + 14 MB
@@ -351,12 +344,9 @@ def build_problem(cfg: ExperimentConfig):
             raise ConfigError(f"problem.n = {n} is too large: {exc}") from None
         default_kind = "zero"
     kind = cfg.reg_kind or default_kind
-    try:
-        regularizer = make_regularizer(
-            kind, n, cfg.problem_lambda1, cfg.problem_lambda2, cfg.reg_lo, cfg.reg_hi
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    regularizer = make_regularizer(
+        kind, n, cfg.problem_lambda1, cfg.problem_lambda2, cfg.reg_lo, cfg.reg_hi
+    )
     return objectives, regularizer, n, provenance
 
 
@@ -382,15 +372,15 @@ def _resolve_output(path_str: str) -> Path:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.problem_seed = args.seed
         cfg.graph_seed = args.seed
         cfg.algo_seed = args.seed
-    if getattr(args, "output", None) is not None:
+    if args.output is not None:
         cfg.output_trace = args.output
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         cfg.algo_max_iter = args.max_iter
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         try:
             cfg.algo_alpha = _to_alpha(args.alpha)
         except ValueError:
@@ -551,7 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
     valp.set_defaults(handler=cmd_validate_graph)
 
     proxp = sub.add_parser("prox-check", help="prox vs 1-D search oracle")
-    proxp.add_argument("--kind", required=True, choices=_REG_KINDS)
+    kinds = _FIELDS["reg.kind"].metadata["choices"]
+    proxp.add_argument("--kind", required=True, choices=kinds)
     proxp.add_argument("--trials", type=int, default=1000)
     proxp.add_argument("--seed", type=int, default=0)
     proxp.set_defaults(handler=cmd_prox_check)

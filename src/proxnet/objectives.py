@@ -72,7 +72,10 @@ def _shard_order(count: int, seed: int) -> np.ndarray:
 
 
 def parse_libsvm(
-    source, n_features: int | None = None, *, shard_seed: int | None = None
+    source: str | os.PathLike,
+    n_features: int | None = None,
+    *,
+    shard_seed: int | None = None,
 ) -> Dataset:
     """Parse LIBSVM text: one "label idx:val idx:val ..." line per sample.
 
@@ -83,9 +86,9 @@ def parse_libsvm(
     float().  Indices are 1-based, strictly increasing within a line and
     at most 2**31 - 1: LIBSVM's own reader stores an index in a C int, and
     a dense row that wide would take 16 GiB.
-    A path (os.PathLike) is read as UTF-8 text; a str source is split with
-    str.splitlines; any other iterable yields one line per item.  The
-    first malformed line raises ValueError naming its 1-based line number.
+    The source is a str of LIBSVM text or a path (os.PathLike) read as
+    UTF-8 text; its lines are split with str.splitlines.  The first
+    malformed line raises ValueError naming its 1-based line number.
 
     Raw label sets {-1,+1}, {0,1} and {1,2} are normalized to {-1,+1},
     matched in that order so a file whose labels all equal 1 keeps them
@@ -115,12 +118,8 @@ def parse_libsvm(
     """
     if isinstance(source, os.PathLike):
         source = Path(source).read_text(encoding="utf-8")
-    if isinstance(source, str):
-        lines = source.splitlines()
-        colons = source.count(":")
-    else:
-        lines = list(source)
-        colons = sum(line.count(":") for line in lines)
+    lines = source.splitlines()
+    colons = source.count(":")
     del source  # a text read here is freed before the first block
     raw_labels = np.empty(len(lines))
     counts = np.empty(len(lines), dtype=np.intp)

@@ -1,10 +1,13 @@
 """Config grammar, builders, subcommands, exit codes."""
 
+import contextlib
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxnet import cli
 from proxnet.cli import (
@@ -180,6 +183,38 @@ def test_config_language_is_pinned():
         text = dump_config(cfg)
         assert parse_config(text) == cfg
         assert dump_config(parse_config(text)) == text
+
+
+def _declared(rule):
+    """(key, value) for every key whose declaration sets `rule`."""
+    return [
+        (key, value)
+        for key, field in cli._FIELDS.items()
+        if (value := field.metadata.get(rule)) is not None and value is not False
+    ]
+
+
+@pytest.mark.parametrize("key, bound", _declared("at_least"))
+def test_declared_lower_bounds_are_inclusive(key, bound):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"{key} = {bound - 1}\n")
+    assert str(err.value) == f"{key} must be >= {bound}, got {bound - 1}"
+    assert getattr(parse_config(f"{key} = {bound}\n"), cli._FIELDS[key].name) == bound
+
+
+@pytest.mark.parametrize("key, choices", _declared("choices"))
+def test_declared_choices_reject_an_outsider(key, choices):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"{key} = outsider\n")
+    assert str(err.value) == f"{key} must be one of {choices}, got 'outsider'"
+
+
+@pytest.mark.parametrize("key", [key for key, _ in _declared("finite")])
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_declared_finite_keys_reject_infinities(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be ") as err:
+        parse_config(f"{key} = {value}\n")
+    assert str(err.value).endswith(f", got {value}")
 
 
 def test_load_config_requires_referenced_files(tmp_path):
@@ -528,6 +563,34 @@ def test_run_rejects_a_negative_seed_before_reading_data(tmp_path, capsys, setti
     assert "data file" not in err
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("algo.alpha = inf", "algo.alpha must be finite, got inf"),
+        ("--alpha inf", "algo.alpha must be finite, got inf"),
+        ("--alpha=-inf", "algo.alpha must be finite, got -inf"),
+        (
+            "algo.alpha = nan",
+            "line 3: bad value for algo.alpha: expected a number, got 'nan'",
+        ),
+        ("--alpha nan", "--alpha takes a number or 'auto', got 'nan'"),
+    ],
+)
+def test_run_rejects_a_non_finite_alpha_before_reading_data(
+    tmp_path, capsys, setting, message
+):
+    (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n")
+    argv = ["run", "--config", str(conf)]
+    if setting.startswith("--"):
+        argv += setting.split()
+    else:
+        conf.write_text(conf.read_text() + setting + "\n")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("lo, hi", [("1", "1"), ("2", "-inf")])
 def test_run_rejects_an_empty_box_before_reading_data(tmp_path, capsys, lo, hi):
     (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
@@ -694,6 +757,80 @@ def test_lipschitz_rejects_empty_shards(tmp_path, capsys):
     )
     assert cli.main(["lipschitz", "--config", str(conf)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+_TINY_LIBSVM = (
+    "+1 1:0.5 3:-1\n-1 2:1\n+1 1:-0.25 2:0.5\n-1 3:2\n"
+    "+1 2:-1 3:0.5\n-1 1:1\n+1 3:1\n-1 1:0.5 2:0.5\n"
+)
+
+
+def _choices(key, leave_out=()):
+    choices = cli._FIELDS[key].metadata["choices"]
+    return st.sampled_from([choice for choice in choices if choice not in leave_out])
+
+
+def _from_bound(key, top):
+    return st.integers(cli._FIELDS[key].metadata["at_least"], top)
+
+
+# Every key but the paths, drawn from the values that it accepts on its
+# own, at small sizes: m <= 6, n <= 3 and T <= 3 over the 8 rows of
+# _TINY_LIBSVM.  Finite keys stay within 1e3: a Gaussian start scaled
+# past about 1e154 overflows a squared norm in the run's certificates.
+# The other floats take any value but nan, as the parser does.  What
+# remains to reject relates two keys or the data.
+_ANY_FLOAT = st.floats(allow_nan=False)
+_SMALL_CONFIGS = st.fixed_dictionaries(
+    {
+        "problem_kind": _choices("problem.kind"),
+        "problem_n": _from_bound("problem.n", 3),
+        "problem_seed": _from_bound("problem.seed", 3),
+        "problem_lambda1": st.floats(0.0, 1e3),
+        "problem_lambda2": st.floats(0.0, 1e3),
+        "problem_reg_split": _choices("problem.reg_split"),
+        "data_subsample": st.none() | _from_bound("data.subsample", 10),
+        "data_n_override": st.none() | _from_bound("data.n_override", 4),
+        "reg_kind": st.none() | _choices("reg.kind"),
+        "reg_lo": st.one_of(st.floats(-2.0, 2.0), _ANY_FLOAT),
+        "reg_hi": st.one_of(st.floats(-2.0, 2.0), _ANY_FLOAT),
+        "graph_kind": _choices("graph.kind", leave_out=("file",)),
+        "graph_m": _from_bound("graph.m", 6),
+        "graph_B": st.none() | _from_bound("graph.B", 4),
+        "graph_seed": _from_bound("graph.seed", 3),
+        "algo_alpha": st.just("auto") | st.floats(0.0, 1e3, exclude_min=True),
+        "algo_safety": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "algo_max_iter": _from_bound("algo.max_iter", 3),
+        "algo_tol": _ANY_FLOAT,
+        "algo_early_stop": st.booleans(),
+        "algo_init": _choices("algo.init"),
+        "algo_init_scale": st.floats(-1e3, 1e3),
+        "algo_seed": _from_bound("algo.seed", 3),
+        "output_snapshot_every": _from_bound("output.snapshot_every", 4),
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "tiny.libsvm").write_text(_TINY_LIBSVM)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_SMALL_CONFIGS)
+def test_small_configs_run_or_exit_with_their_code(fuzz_dir, values):
+    trace = str(fuzz_dir / "trace.csv")
+    cfg = ExperimentConfig(data_path="tiny.libsvm", output_trace=trace, **values)
+    conf = fuzz_dir / "exp.conf"
+    conf.write_text(dump_config(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", str(conf)])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error: ")
 
 
 def test_entrypoint_raises_system_exit(tmp_path):

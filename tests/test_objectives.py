@@ -273,14 +273,12 @@ def _libsvm_texts(draw) -> str:
 @given(
     text=_libsvm_texts(),
     n_features=st.none() | st.integers(0, 14),
-    as_lines=st.booleans(),
     block=st.sampled_from([1, 2, 3, BLOCK]),
 )
-def test_parse_matches_token_loop(text, n_features, as_lines, block) -> None:
+def test_parse_matches_token_loop(text, n_features, block) -> None:
     # Small blocks put block boundaries inside these short texts.
-    source = text.splitlines(keepends=True) if as_lines else text
     with mock.patch.object(objectives, "_BLOCK_LINES", block):
-        _assert_parses_like_token_loop(source, n_features)
+        _assert_parses_like_token_loop(text, n_features)
 
 
 def test_serialize_round_trip() -> None:
