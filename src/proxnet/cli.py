@@ -31,14 +31,15 @@ import numpy as np
 
 from .diagnostics import write_trace_csv
 from .graphs import (
+    AdjacencyMatrix,
     DisconnectedSchedule,
+    PeriodicSchedule,
     RandomSchedule,
     Schedule,
     complete_schedule,
     read_matrix_file,
     ring_matchings_schedule,
     ring_schedule,
-    schedule_from_matrices,
     validate_schedule,
 )
 from .objectives import (
@@ -272,13 +273,10 @@ def build_schedule(cfg: ExperimentConfig) -> Schedule:
     else:  # file
         try:
             matrices = read_matrix_file(cfg.graph_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad graph file: {exc}") from None
-        try:
-            schedule = schedule_from_matrices(
-                matrices, B=cfg.graph_B or len(matrices)
+            schedule = PeriodicSchedule(
+                [AdjacencyMatrix(w) for w in matrices], B=cfg.graph_B or len(matrices)
             )
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"bad graph file: {exc}") from None
         if schedule.m != m:
             raise ConfigError(
@@ -354,7 +352,9 @@ def _build_init(cfg: ExperimentConfig, m: int, n: int) -> np.ndarray:
     if cfg.algo_init == "zeros":
         return np.zeros((m, n))
     rng = np.random.default_rng(cfg.algo_seed)
-    return cfg.algo_init_scale * rng.standard_normal((m, n))
+    # run() reports a start that overflows here as a numerical fault.
+    with np.errstate(over="ignore"):
+        return cfg.algo_init_scale * rng.standard_normal((m, n))
 
 
 def _resolve_output(path_str: str) -> Path:
@@ -389,6 +389,20 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
             ) from None
 
 
+def _auto_alpha(safety: float, lipschitz: float) -> float | None:
+    """The step that algo.alpha = auto picks, algo.safety / L; None if L = 0."""
+    if lipschitz <= 0:
+        return None
+    alpha = safety / lipschitz
+    if not (alpha > 0 and math.isfinite(alpha)):
+        # A subnormal safety rounds it to 0: blame the key, not the step.
+        raise ConfigError(
+            f"algo.safety = {safety!r} gives the automatic step {alpha!r} "
+            f"at L = {lipschitz!r}; it must be a positive finite number"
+        )
+    return alpha
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
@@ -400,9 +414,9 @@ def cmd_run(args) -> int:
     objectives, regularizer, n, provenance = build_problem(cfg)
     lipschitz = max(obj.lipschitz() for obj in objectives)
     if cfg.algo_alpha == "auto":
-        if lipschitz <= 0:
+        alpha = _auto_alpha(cfg.algo_safety, lipschitz)
+        if alpha is None:
             raise ConfigError("cannot pick alpha automatically: L = 0")
-        alpha = cfg.algo_safety / lipschitz
     else:
         alpha = float(cfg.algo_alpha)
     setup = RunSetup(
@@ -510,12 +524,13 @@ def cmd_lipschitz(args) -> int:
     cfg = load_config(args.config)
     objectives, _reg, _n, _prov = build_problem(cfg)
     constants = [obj.lipschitz() for obj in objectives]
+    global_l = max(constants)
+    alpha = _auto_alpha(cfg.algo_safety, global_l)
     for i, value in enumerate(constants):
         print(f"agent {i} L {value!r}")
-    global_l = max(constants)
     print(f"global L {global_l!r}")
-    if global_l > 0:
-        print(f"recommended alpha {cfg.algo_safety / global_l!r}")
+    if alpha is not None:
+        print(f"recommended alpha {alpha!r}")
     return 0
 
 

@@ -29,15 +29,16 @@ The complete, ring, matchings and random generators build each slot's
 graph as a boolean adjacency mask, which one numpy builder turns into
 Metropolis weights.  Edge lists are accepted only by the public
 :func:`metropolis_weights`, which checks them as it writes their mask.
+Slot weights are checked once, where a :class:`PeriodicSchedule` is built;
+the thousands of Metropolis windows of a random run are symmetric and
+doubly stochastic by construction, which the tests check instead.
 
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
 :func:`validate_schedule` checks the first over one period of a periodic
-schedule's windows.  A random schedule is connected by construction (see
-RandomSchedule).  The floor needs no check: a schedule does not declare
-it but derives it from its own matrices, as the smallest positive entry
-of a periodic schedule and as 1/m for the Metropolis slots of a random
-schedule, so it holds by construction.
+schedule's windows; a random schedule is connected by construction (see
+RandomSchedule).  The floor is derived from the matrices, so it holds by
+construction (see validate_schedule).
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-# Matrices built by this module are held to a tighter stochasticity
-# tolerance than matrices read from user files.
-GENERATED_TOL = 1e-12
-SUPPLIED_TOL = 1e-9
+# Rounding allowed in slot weights, such as a file's printed digits.
+WEIGHT_TOL = 1e-9
 
 
 def slots_before(k: int) -> int:
@@ -62,36 +61,38 @@ def slots_before(k: int) -> int:
     return k * (k - 1) // 2
 
 
-@dataclass(eq=False)
+def _check_weights(w: np.ndarray) -> None:
+    """Raise ValueError unless w is a symmetric doubly stochastic matrix."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+    if w.shape[0] < 1:
+        raise ValueError("weight matrix needs at least one agent")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weight matrix has non-finite entries")
+    if np.min(w) < -WEIGHT_TOL:
+        raise ValueError("weight matrix has negative entries")
+    if np.max(np.abs(w - w.T)) > WEIGHT_TOL:
+        raise ValueError("weight matrix is not symmetric")
+    ones = np.ones(w.shape[0])
+    row_err = float(np.max(np.abs(w @ ones - ones)))
+    col_err = float(np.max(np.abs(w.T @ ones - ones)))
+    if max(row_err, col_err) > WEIGHT_TOL:
+        raise ValueError(
+            f"weight matrix is not doubly stochastic (row error {row_err:.3e}, "
+            f"column error {col_err:.3e})"
+        )
+
+
 class AdjacencyMatrix:
-    """Symmetric doubly stochastic weight matrix for one communication slot."""
+    """A read-only copy of one slot's weight matrix.
 
-    w: np.ndarray
-    tol: float = SUPPLIED_TOL
+    It checks nothing: a PeriodicSchedule checks its matrices, and random
+    windows are valid by construction (see RandomSchedule).
+    """
 
-    def __post_init__(self) -> None:
-        # A read-only copy, so the checks below hold for the object's life.
-        w = np.array(self.w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-        if w.shape[0] < 1:
-            raise ValueError("weight matrix needs at least one agent")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight matrix has non-finite entries")
-        if np.min(w) < -self.tol:
-            raise ValueError("weight matrix has negative entries")
-        if np.max(np.abs(w - w.T)) > self.tol:
-            raise ValueError("weight matrix is not symmetric")
-        ones = np.ones(w.shape[0])
-        row_err = float(np.max(np.abs(w @ ones - ones)))
-        col_err = float(np.max(np.abs(w.T @ ones - ones)))
-        if max(row_err, col_err) > self.tol:
-            raise ValueError(
-                f"weight matrix is not doubly stochastic (row error {row_err:.3e}, "
-                f"column error {col_err:.3e})"
-            )
-        w.flags.writeable = False
-        self.w = w
+    def __init__(self, w) -> None:
+        self.w = np.array(w, dtype=float)
+        self.w.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -155,16 +156,10 @@ def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
     symmetric and doubly stochastic for any topology, every positive entry
     is at least 1/m, and isolated nodes keep full self-weight.
 
-    Edge lists are accepted here only; the edges are checked as they are
+    edge_set holds undirected (i, j) pairs of zero-based node indices.
+    Edge lists are accepted here only; self-loops, duplicates (in either
+    orientation) and nodes out of range are rejected as the edges are
     written into an adjacency mask, as the generators build theirs.
-
-    Parameters
-    ----------
-    edge_set : iterable of (i, j) pairs
-        Undirected edges, zero-based node indices.  Self-loops and
-        duplicates (in either orientation) are rejected.
-    m : int
-        Number of nodes.
     """
     if m < 1:
         raise ValueError(f"need at least one agent, got m={m}")
@@ -187,7 +182,7 @@ def _metropolis(adj: np.ndarray) -> AdjacencyMatrix:
     degree = adj.sum(axis=1)
     w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(degree, degree)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return AdjacencyMatrix(w, tol=GENERATED_TOL)
+    return AdjacencyMatrix(w)
 
 
 def _ring_mask(m: int, starts: np.ndarray) -> np.ndarray:
@@ -224,12 +219,19 @@ class Schedule:
 
 
 class PeriodicSchedule(Schedule):
-    """Cycles through a fixed list of weight matrices; one matrix is static."""
+    """Cycles through a fixed list of weight matrices; one matrix is static.
+
+    Construction checks each matrix, in list order, to be symmetric and
+    doubly stochastic within WEIGHT_TOL, whoever built it: a generator, a
+    matrix file or a caller.  The matrices are read-only, so that holds.
+    """
 
     def __init__(self, matrices, B: int) -> None:
         matrices = list(matrices)
         if not matrices:
             raise ValueError("periodic schedule needs at least one matrix")
+        for adj in matrices:
+            _check_weights(adj.w)
         sizes = {adj.m for adj in matrices}
         if len(sizes) != 1:
             raise ValueError(f"matrices disagree on agent count: {sorted(sizes)}")
@@ -253,6 +255,9 @@ class RandomSchedule(Schedule):
     contains exactly one tree slot, and each tree spans all agents by
     construction: every node of a random order attaches to one placed
     before it.  Identical seeds reproduce identical matrices at every slot.
+
+    Windows skip PeriodicSchedule's weight check: their Metropolis weights
+    meet it by construction, and the tests check drawn windows instead.
     """
 
     def __init__(self, m: int, B: int, seed: int) -> None:
@@ -332,13 +337,6 @@ def read_matrix_file(path) -> list[np.ndarray]:
     return [np.array(block, dtype=float) for block in blocks]
 
 
-def schedule_from_matrices(matrices, B: int) -> PeriodicSchedule:
-    """Periodic schedule over user-supplied matrices, validated loosely."""
-    return PeriodicSchedule(
-        [AdjacencyMatrix(w, tol=SUPPLIED_TOL) for w in matrices], B=B
-    )
-
-
 def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
     """Effective mixing matrix of iteration k, as a read-only array.
 
@@ -401,9 +399,9 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
     window that fails.  A schedule without a period, a random one, is not
     read: it is connected by construction (see RandomSchedule).
 
-    Nothing else needs a check here.  Every slot matrix is an
-    AdjacencyMatrix, which enforces symmetry and double stochasticity when
-    it is built and is read-only.  The weight floor eta is not declared but
+    Nothing else needs a check here.  A periodic schedule checked its
+    read-only matrices' weights when it was built, and a random schedule's
+    Metropolis weights are valid by construction.  The weight floor eta is
     derived: the smallest positive entry of a periodic schedule's matrices,
     and 1/m for the Metropolis slots of a random schedule.
     """

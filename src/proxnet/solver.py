@@ -14,6 +14,7 @@ is the step from init to init, with no q, v or previous row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,7 +198,7 @@ class _Observer:
             )
         comm = slots_before(k + 1)
         values = [obj.value(x_bar) for obj in self.objectives]
-        return diagnostics.IterationMetrics(
+        row = diagnostics.IterationMetrics(
             k=k,
             comm_cumulative=comm,
             f_avg=float(np.mean(values) + self.reg.value(x_bar)),
@@ -216,13 +217,25 @@ class _Observer:
             geo_bound=geo_bound,
             rate_T_times_stat=rate,
         )
+        # eps is None when unavailable, and geo_bound reads inf once the
+        # envelope passes the float range; every other column is finite.
+        for name, value in vars(row).items():
+            if value is None or (name == "geo_bound" and value == math.inf):
+                continue
+            if not math.isfinite(value):
+                raise NumericalFault(f"non-finite trace column {name}", iteration=k)
+        return row
 
 
+@np.errstate(all="ignore")
 def run(setup: RunSetup) -> RunTrace:
     """Execute the iteration loop, one certificate row per iteration.
 
     Validates the step size and the schedule up front.  Early stopping
-    (off by default) triggers on the stationarity residual bound.
+    (off by default) triggers on the stationarity residual bound.  A
+    non-finite start, step or trace row raises NumericalFault at its
+    iteration, 0 for the start, so numpy's floating-point warnings, which
+    would only repeat it, are silenced.
     """
     init = np.asarray(setup.init, dtype=float)
     if init.ndim != 2:
@@ -248,6 +261,7 @@ def run(setup: RunSetup) -> RunTrace:
         raise StepSizeError(f"step size must be positive, got {alpha}")
     validate_schedule(schedule, max(slots_before(setup.max_iter + 1), schedule.B))
 
+    _check_finite(init, 0, "initial point")
     # Subgradient bounds are declared on the iterate-norm ball of ten times
     # the largest initial row norm, at least 10.
     radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(init, axis=1))))

@@ -641,6 +641,87 @@ def test_run_with_overflowing_geometric_constants(tmp_path, capsys):
                 assert math.isfinite(value), name
 
 
+def test_run_with_an_envelope_past_the_float_range(tmp_path, capsys):
+    # At m = 510 on matchings Gamma = 5.6e306 is finite, but the envelope
+    # 2 Gamma gamma^k sum_j ||q_j|| overflows: it reads inf, and the run
+    # is not a numerical fault.
+    conf = tmp_path / "wide.conf"
+    conf.write_text("graph.kind = matchings\ngraph.m = 510\nalgo.max_iter = 1\n")
+    out = tmp_path / "wide.csv"
+    assert cli.main(["run", "--config", str(conf), "--output", str(out)]) == 0
+    capsys.readouterr()
+    header, _, last = out.read_text().splitlines()
+    assert dict(zip(header.split(","), last.split(",")))["geo_bound"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "scale, what",
+    # 1e300 is a finite start whose certificates overflow; 1.7e308 times a
+    # normal draw overflows the start itself.
+    [("1e300", "trace column f_avg"), ("1.7e308", "initial point at agent ")],
+)
+def test_run_reports_an_overflowing_start_at_iteration_0(tmp_path, capsys, scale, what):
+    conf = _quad_config(
+        tmp_path, extra=f"algo.init = gaussian\nalgo.init_scale = {scale}\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"numerical fault at iteration 0: non-finite {what}"
+    ), captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "quad.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "lipschitz"])
+def test_a_subnormal_safety_is_a_config_error(tmp_path, capsys, command):
+    # 5e-324 / L rounds to 0: the automatic step is rejected with the key
+    # that caused it, not as a step size the user never set.
+    conf = _quad_config(tmp_path, extra="algo.safety = 5e-324\n")
+    objectives, _reg, _n, _prov = build_problem(load_config(conf))
+    lipschitz = max(obj.lipschitz() for obj in objectives)
+    assert cli.main([command, "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: algo.safety = 5e-324 gives the automatic step 0.0 at "
+        f"L = {lipschitz!r}; it must be a positive finite number\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "quad.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate-graph"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.5 0.5 0\n0.5 0.5 0\n", "weight matrix must be square, got shape (2, 3)"),
+        ("nan 1\n1 nan\n", "weight matrix has non-finite entries"),
+        ("1.5 -0.5\n-0.5 1.5\n", "weight matrix has negative entries"),
+        ("0.5 0.5\n0.4 0.6\n", "weight matrix is not symmetric"),
+        (
+            "0.5 0.4\n0.4 0.5\n",
+            "weight matrix is not doubly stochastic "
+            "(row error 1.000e-01, column error 1.000e-01)",
+        ),
+        (
+            "0.5 0.5\n0.5 0.5\n\n1 0 0\n0 1 0\n0 0 1\n",
+            "matrices disagree on agent count: [2, 3]",
+        ),
+    ],
+)
+def test_bad_graph_files_are_config_errors(tmp_path, capsys, command, text, message):
+    (tmp_path / "g.txt").write_text(text)
+    conf = tmp_path / "g.conf"
+    conf.write_text(
+        f"graph.kind = file\ngraph.path = g.txt\ngraph.m = 2\n"
+        f"output.trace = {tmp_path / 'g.csv'}\n"
+    )
+    assert cli.main([command, "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: bad graph file: {message}\n"
+    assert captured.out == ""
+
+
 def test_run_reports_numerical_fault_iteration(tmp_path, monkeypatch, capsys):
     conf = _quad_config(tmp_path)
 
@@ -776,10 +857,9 @@ def _from_bound(key, top):
 
 # Every key but the paths, drawn from the values that it accepts on its
 # own, at small sizes: m <= 6, n <= 3 and T <= 3 over the 8 rows of
-# _TINY_LIBSVM.  Finite keys stay within 1e3: a Gaussian start scaled
-# past about 1e154 overflows a squared norm in the run's certificates.
-# The other floats take any value but nan, as the parser does.  What
-# remains to reject relates two keys or the data.
+# _TINY_LIBSVM.  Floats take any value but nan, as the parser does, and
+# finite keys any finite value.  What remains to reject relates two keys
+# or the data.
 _ANY_FLOAT = st.floats(allow_nan=False)
 _SMALL_CONFIGS = st.fixed_dictionaries(
     {
@@ -804,7 +884,7 @@ _SMALL_CONFIGS = st.fixed_dictionaries(
         "algo_tol": _ANY_FLOAT,
         "algo_early_stop": st.booleans(),
         "algo_init": _choices("algo.init"),
-        "algo_init_scale": st.floats(-1e3, 1e3),
+        "algo_init_scale": st.floats(allow_nan=False, allow_infinity=False),
         "algo_seed": _from_bound("algo.seed", 3),
         "output_snapshot_every": _from_bound("output.snapshot_every", 4),
     }

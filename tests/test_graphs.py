@@ -17,7 +17,6 @@ from proxnet.graphs import (
     read_matrix_file,
     ring_matchings_schedule,
     ring_schedule,
-    schedule_from_matrices,
     slots_before,
     validate_schedule,
 )
@@ -93,21 +92,25 @@ def test_metropolis_rejects_bad_edges() -> None:
         metropolis_weights([], 0)
 
 
-def test_adjacency_validation() -> None:
-    with pytest.raises(ValueError, match="square"):
-        AdjacencyMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="symmetric"):
-        AdjacencyMatrix(np.array([[0.5, 0.5], [0.4, 0.6]]), tol=1e-12)
-    with pytest.raises(ValueError, match="negative"):
-        AdjacencyMatrix(np.array([[1.5, -0.5], [-0.5, 1.5]]))
-    with pytest.raises(ValueError, match="stochastic"):
-        AdjacencyMatrix(np.array([[0.5, 0.4], [0.4, 0.5]]))
-    with pytest.raises(ValueError, match="finite"):
-        AdjacencyMatrix(np.array([[np.nan, 1.0], [1.0, np.nan]]))
+def test_periodic_schedule_checks_slot_weights() -> None:
+    # The one weight check runs when a periodic schedule is built, on each
+    # matrix in list order and before the agent counts are compared.
+    for w, message in (
+        (np.ones((2, 3)), "square"),
+        (np.zeros((0, 0)), "at least one agent"),
+        (np.array([[np.nan, 1.0], [1.0, np.nan]]), "finite"),
+        (np.array([[1.5, -0.5], [-0.5, 1.5]]), "negative"),
+        (np.array([[0.5, 0.5], [0.4, 0.6]]), "symmetric"),
+        (np.array([[0.5, 0.4], [0.4, 0.5]]), "stochastic"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PeriodicSchedule([AdjacencyMatrix(w)], B=1)
+        with pytest.raises(ValueError, match=message):
+            PeriodicSchedule([metropolis_weights([], 3), AdjacencyMatrix(w)], B=1)
 
 
 def test_adjacency_matrix_is_a_read_only_copy() -> None:
-    # The stochasticity check runs once, at construction, so the stored
+    # The weight check runs once, when a schedule is built, so the stored
     # matrix must not change afterwards; the caller's array is not frozen.
     w = np.full((2, 2), 0.5)
     adj = AdjacencyMatrix(w)
@@ -131,7 +134,9 @@ def _same_bits(adj: AdjacencyMatrix, edge_list) -> bool:
 def test_periodic_generators_match_the_edge_list_oracle() -> None:
     # Each generator's graph as an edge list: the ring has no edge at
     # m = 1 and one at m = 2, and an odd matching edge is (min, max) of
-    # (i, (i + 1) % m), which wraps around for even m.
+    # (i, (i + 1) % m), which wraps around for even m.  Each generator
+    # returns a PeriodicSchedule, so every matrix here has also passed the
+    # weight check.
     for m in range(1, 41):
         complete = [(i, j) for i in range(m) for j in range(i + 1, m)]
         assert _same_bits(complete_schedule(m).matrix(0), complete), m
@@ -324,13 +329,13 @@ def test_matching_mix_is_the_dense_product_bit_for_bit(data, m) -> None:
 
 
 def _supplied(w) -> AdjacencyMatrix:
-    return schedule_from_matrices([np.array(w)], B=1).matrix(0)
+    return PeriodicSchedule([AdjacencyMatrix(w)], B=1).matrix(0)
 
 
 def test_mix_detects_matchings_and_nothing_else(tmp_path) -> None:
     path = tmp_path / "half.txt"
     path.write_text("0.5 0.5 0\n0.5 0.5 0\n0 0 1\n")
-    half = schedule_from_matrices(read_matrix_file(path), B=1).matrix(0)
+    half = _supplied(read_matrix_file(path)[0])
     matchings = [
         *(ring_matchings_schedule(m).matrix(t) for m in (2, 3, 7, 10) for t in (0, 1)),
         ring_schedule(2).matrix(0),
@@ -479,6 +484,20 @@ def test_random_tree_slot_is_a_spanning_tree(seed, m, B, window) -> None:
     _assert_tree_slot_spans(RandomSchedule(m=m, B=B, seed=seed), window)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 60),
+    B=st.integers(1, 4),
+    window=st.integers(0, 10_000),
+)
+def test_random_windows_pass_the_periodic_weight_check(seed, m, B, window) -> None:
+    # Random windows are built with no weight check: a periodic schedule
+    # over a drawn window holds each of its slots to that check.
+    sched = RandomSchedule(m=m, B=B, seed=seed)
+    PeriodicSchedule([sched.matrix(window * B + pos) for pos in range(B)], B=B)
+
+
 @pytest.mark.parametrize("m", [200, 1000])
 def test_random_tree_slot_spans_many_agents(m) -> None:
     for seed in (0, 1, 2):
@@ -604,11 +623,6 @@ def test_matrix_file_round_trip(tmp_path) -> None:
     assert len(loaded) == 2
     assert np.array_equal(loaded[0], a)
     assert np.array_equal(loaded[1], b)
-    sched = schedule_from_matrices(loaded, B=2)
+    sched = PeriodicSchedule([AdjacencyMatrix(w) for w in loaded], B=2)
     assert sched.m == 3
     validate_schedule(sched, horizon=8)
-
-
-def test_schedule_from_matrices_rejects_bad_input() -> None:
-    with pytest.raises(ValueError):
-        schedule_from_matrices([np.array([[0.5, 0.4], [0.4, 0.5]])], B=1)

@@ -316,6 +316,27 @@ def test_run_numerical_fault_carries_iteration() -> None:
     assert info.value.agent == 0
 
 
+def test_run_faults_on_a_non_finite_start_or_trace_row() -> None:
+    # A non-finite start is a fault at iteration 0 before any row is made.
+    # A finite start of 1e200 squares past the float range in f_avg, so
+    # row 0 is a fault too; no numpy overflow warning escapes either.
+    setup = RunSetup(
+        objectives=[Quadratic(np.eye(2), np.zeros(2))] * 2,
+        regularizer=Zero(2),
+        schedule=ring_schedule(2),
+        alpha=0.5,
+        max_iter=3,
+        init=np.array([[0.0, 0.0], [np.inf, 0.0]]),
+    )
+    with pytest.raises(NumericalFault, match="non-finite initial point") as info:
+        run(setup)
+    assert (info.value.iteration, info.value.agent) == (0, 1)
+    setup.init = np.full((2, 2), 1e200)
+    with pytest.raises(NumericalFault, match="non-finite trace column f_avg") as info:
+        run(setup)
+    assert info.value.iteration == 0
+
+
 def test_run_mean_tracking_identity() -> None:
     # The averaged post-consensus point must equal a centralized gradient
     # step from the previous average, corrected by the averaging error.
