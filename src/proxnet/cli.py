@@ -31,7 +31,6 @@ import numpy as np
 
 from .diagnostics import write_trace_csv
 from .graphs import (
-    AdjacencyMatrix,
     DisconnectedSchedule,
     PeriodicSchedule,
     RandomSchedule,
@@ -262,26 +261,26 @@ def load_config(path) -> ExperimentConfig:
 def build_schedule(cfg: ExperimentConfig) -> Schedule:
     m = cfg.graph_m
     kind = cfg.graph_kind
-    if kind == "complete":
-        schedule = complete_schedule(m, B=cfg.graph_B or 1)
-    elif kind == "ring":
-        schedule = ring_schedule(m, B=cfg.graph_B or 1)
-    elif kind == "matchings":
-        schedule = ring_matchings_schedule(m)
-    elif kind == "random":
-        schedule = RandomSchedule(m=m, B=cfg.graph_B, seed=cfg.graph_seed)
-    else:  # file
-        try:
-            matrices = read_matrix_file(cfg.graph_path)
-            schedule = PeriodicSchedule(
-                [AdjacencyMatrix(w) for w in matrices], B=cfg.graph_B or len(matrices)
-            )
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad graph file: {exc}") from None
-        if schedule.m != m:
-            raise ConfigError(
-                f"graph.m = {m} but file matrices are {schedule.m}x{schedule.m}"
-            )
+    try:
+        if kind == "complete":
+            return complete_schedule(m, B=cfg.graph_B or 1)
+        if kind == "ring":
+            return ring_schedule(m, B=cfg.graph_B or 1)
+        if kind == "matchings":
+            return ring_matchings_schedule(m)
+    except MemoryError as exc:
+        raise ConfigError(f"graph.m = {m} is too large: {exc}") from None
+    if kind == "random":
+        return RandomSchedule(m=m, B=cfg.graph_B, seed=cfg.graph_seed)
+    try:  # file
+        matrices = read_matrix_file(cfg.graph_path)
+        schedule = PeriodicSchedule(matrices, B=cfg.graph_B or len(matrices))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad graph file: {exc}") from None
+    if schedule.m != m:
+        raise ConfigError(
+            f"graph.m = {m} but file matrices are {schedule.m}x{schedule.m}"
+        )
     return schedule
 
 
@@ -326,6 +325,12 @@ def build_problem(cfg: ExperimentConfig):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         objectives = [SigmoidLoss(piece) for piece in shards]
+        worst = max(obj.lipschitz() for obj in objectives)
+        if not math.isfinite(worst):
+            raise ConfigError(
+                f"data file {cfg.data_path} gives the non-finite Lipschitz "
+                f"constant L = {worst!r}"
+            )
         n = dataset.n
         if cfg.problem_reg_split == "g-carries-l2":
             objectives = [

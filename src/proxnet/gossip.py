@@ -46,10 +46,10 @@ def gossip_rounds(
     if schedule.m != m:
         raise ValueError(f"schedule has {schedule.m} agents, values have {m}")
     for slot in range(start_slot, start_slot + rounds):
-        w = schedule.matrix(slot).w
+        w = schedule.matrix(slot)
         new = w.diagonal()[:, None] * y
-        # > 0, not != 0: a supplied matrix may hold entries down to -tol,
-        # and those edges carry no message.
+        # > 0, not != 0: a supplied matrix may hold entries down to
+        # -graphs.WEIGHT_TOL, and those edges carry no message.
         for receiver, sender in zip(*np.nonzero(w > 0)):
             if receiver != sender:
                 new[receiver] += w[receiver, sender] * y[sender]

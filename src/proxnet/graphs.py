@@ -1,11 +1,12 @@
 """Time-varying communication graphs and multi-round mixing weights.
 
 A schedule assigns one symmetric doubly stochastic weight matrix to every
-communication slot t = 0, 1, 2, ...  Iteration k of the solver consumes k
+communication slot t = 0, 1, 2, ...; ``Schedule.matrix(t)`` hands it out
+as a read-only float array.  Iteration k of the solver consumes k
 consecutive slots starting at ``slots_before(k) = k(k-1)/2``, so after T
 iterations exactly T(T+1)/2 slots have been used.  The effective mixing
 weights of iteration k are the ordered product of its k slot matrices,
-computed by :func:`consensus_weights`.
+computed by :func:`consensus_weights` one ``Schedule.mix`` at a time.
 
 On a schedule of period p that product depends only on the phase
 ``slots_before(k) % p`` and on k, so the schedule keeps one prefix
@@ -18,20 +19,16 @@ period product would be cheaper still but rounds differently, and near
 consensus the residual bound's eps term is rounding noise, so that
 rounding moves the bound past the reference traces' tolerance.
 
-A slot that averages disjoint pairs of agents (every matchings slot) is
-applied by :meth:`AdjacencyMatrix.mix` as pair averages, O(m) rows of work
-instead of a dense m x m product.  The dense product of such a slot adds
-exact zeros to two exact halves, so each of its entries rounds once, to
-the same value the pair average gives; the traces do not change.
-Metropolis and supplied slots of any other shape keep the dense product.
+A periodic slot that averages disjoint pairs (every matchings slot) is
+applied by :meth:`PeriodicSchedule.mix` as O(m) pair averages with the
+dense product's bits; every other slot, a random one too, is mixed densely.
 
 The complete, ring, matchings and random generators build each slot's
 graph as a boolean adjacency mask, which one numpy builder turns into
-Metropolis weights.  Edge lists are accepted only by the public
-:func:`metropolis_weights`, which checks them as it writes their mask.
-Slot weights are checked once, where a :class:`PeriodicSchedule` is built;
-the thousands of Metropolis windows of a random run are symmetric and
-doubly stochastic by construction, which the tests check instead.
+Metropolis weights; only the public :func:`metropolis_weights` takes an
+edge list, and checks it.  A :class:`PeriodicSchedule` checks its
+matrices once, when it is built; the thousands of Metropolis windows of
+a random run are valid by construction, which the tests check instead.
 
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
@@ -46,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -83,78 +79,35 @@ def _check_weights(w: np.ndarray) -> None:
         )
 
 
-class AdjacencyMatrix:
-    """A read-only copy of one slot's weight matrix.
+def _partner(w: np.ndarray) -> np.ndarray | None:
+    """Each agent's matched partner (itself when unmatched), or None.
 
-    It checks nothing: a PeriodicSchedule checks its matrices, and random
-    windows are valid by construction (see RandomSchedule).
+    Set only when every row of w is exactly e_i or (e_i + e_j) / 2 for a
+    partner j whose row is (e_j + e_i) / 2, that is, when the slot
+    averages disjoint pairs.
     """
-
-    def __init__(self, w) -> None:
-        self.w = np.array(w, dtype=float)
-        self.w.flags.writeable = False
-
-    @property
-    def m(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def eta(self) -> float:
-        """Smallest positive entry, the realized weight floor."""
-        positive = self.w[self.w > 0]
-        return float(positive.min()) if positive.size else 0.0
-
-    @cached_property
-    def _partner(self) -> np.ndarray | None:
-        """Each agent's matched partner (itself when unmatched), or None.
-
-        Set only when every row of w is exactly e_i or (e_i + e_j) / 2 for
-        a partner j whose row is (e_j + e_i) / 2, that is, when the slot
-        averages disjoint pairs.
-        """
-        w = self.w
-        # A matching has at most 2m nonzeros; this cheap count turns away
-        # most Metropolis slots of a random schedule.
-        if np.count_nonzero(w) > 2 * w.shape[0]:
-            return None
-        idx = np.arange(w.shape[0])
-        off = w != 0
-        off[idx, idx] = False
-        partner = np.where(off.any(axis=1), off.argmax(axis=1), idx)
-        matching = np.zeros_like(w)
-        matching[idx, idx] = 0.5
-        matching[idx, partner] += 0.5
-        return partner if np.array_equal(w, matching) else None
-
-    def mix(self, p: np.ndarray) -> np.ndarray:
-        """w @ p, bit for bit, as a new array.
-
-        A matching slot is applied as the pair averages (p + p[partner]) / 2,
-        O(m) rows of work instead of a dense product; every other slot is
-        the dense product.  The two agree bit for bit while no half of an
-        entry of p is subnormal, no pair sum overflows and no entry is -0
-        (the dense sum turns it into +0): halving is then exact, and the
-        dense sum adds exact zeros to the exact halves, so each entry
-        rounds once, to fl(a/2 + b/2) = fl(a + b) / 2.  A product of up to
-        1021 slots with weights 1/2 has entries that are +0 or in
-        [2**-1021, 1], which meets the condition.
-        """
-        partner = self._partner
-        if partner is None:
-            return self.w @ p
-        out = p[partner]
-        out += p
-        out *= 0.5
-        return out
+    # A matching has at most 2m nonzeros; this cheap count turns away most
+    # dense slots.
+    if np.count_nonzero(w) > 2 * w.shape[0]:
+        return None
+    idx = np.arange(w.shape[0])
+    off = w != 0
+    off[idx, idx] = False
+    partner = np.where(off.any(axis=1), off.argmax(axis=1), idx)
+    matching = np.zeros_like(w)
+    matching[idx, idx] = 0.5
+    matching[idx, partner] += 0.5
+    return partner if np.array_equal(w, matching) else None
 
 
-def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
-    """Metropolis weight matrix of one undirected graph on m nodes.
+def metropolis_weights(edge_set, m: int) -> np.ndarray:
+    """Metropolis weights of one undirected graph on m nodes.
 
     Each edge {i, j} receives weight 1 / (1 + max(deg_i, deg_j)) and every
-    node keeps the leftover mass on its diagonal entry.  The result is
-    symmetric and doubly stochastic for any topology, every positive entry
-    is at least 1/m, and isolated nodes keep full self-weight.
+    node keeps the leftover mass on its diagonal entry.  The result is a
+    read-only m x m float array, symmetric and doubly stochastic for any
+    topology, ready to be one slot of a PeriodicSchedule.  Every positive
+    entry is at least 1/m, and isolated nodes keep full self-weight.
 
     edge_set holds undirected (i, j) pairs of zero-based node indices.
     Edge lists are accepted here only; self-loops, duplicates (in either
@@ -175,14 +128,15 @@ def metropolis_weights(edge_set, m: int) -> AdjacencyMatrix:
     return _metropolis(adj)
 
 
-def _metropolis(adj: np.ndarray) -> AdjacencyMatrix:
-    """Metropolis weights of the edges where adj or adj.T is True, off the diagonal."""
+def _metropolis(adj: np.ndarray) -> np.ndarray:
+    """Metropolis weights, read-only, of the off-diagonal edges in adj or adj.T."""
     adj = adj | adj.T
     np.fill_diagonal(adj, False)
     degree = adj.sum(axis=1)
     w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(degree, degree)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return AdjacencyMatrix(w)
+    w.flags.writeable = False
+    return w
 
 
 def _ring_mask(m: int, starts: np.ndarray) -> np.ndarray:
@@ -193,7 +147,7 @@ def _ring_mask(m: int, starts: np.ndarray) -> np.ndarray:
 
 
 class Schedule:
-    """Base class mapping slot indices to weight matrices.
+    """Base class mapping slot indices to read-only weight arrays.
 
     Subclasses implement :meth:`matrix`.  A schedule whose slots repeat
     sets ``period``; validation then reads one period of windows, and
@@ -214,36 +168,66 @@ class Schedule:
         # written by consensus_weights when period is set.
         self._prefixes: dict[int, tuple[int, np.ndarray]] = {}
 
-    def matrix(self, t: int) -> AdjacencyMatrix:
+    def matrix(self, t: int) -> np.ndarray:
         raise NotImplementedError
+
+    def mix(self, t: int, p: np.ndarray) -> np.ndarray:
+        """matrix(t) @ p, as a new array."""
+        return self.matrix(t) @ p
 
 
 class PeriodicSchedule(Schedule):
     """Cycles through a fixed list of weight matrices; one matrix is static.
 
-    Construction checks each matrix, in list order, to be symmetric and
-    doubly stochastic within WEIGHT_TOL, whoever built it: a generator, a
-    matrix file or a caller.  The matrices are read-only, so that holds.
+    Construction copies each matrix, in list order, checks it to be
+    symmetric and doubly stochastic within WEIGHT_TOL, whoever built it (a
+    generator, a matrix file or a caller), freezes the copy so that the
+    check keeps holding, and records whether it averages disjoint pairs.
     """
 
     def __init__(self, matrices, B: int) -> None:
-        matrices = list(matrices)
+        matrices = [np.array(w, dtype=float) for w in matrices]
         if not matrices:
             raise ValueError("periodic schedule needs at least one matrix")
-        for adj in matrices:
-            _check_weights(adj.w)
-        sizes = {adj.m for adj in matrices}
+        for w in matrices:
+            _check_weights(w)
+            w.flags.writeable = False
+        sizes = {w.shape[0] for w in matrices}
         if len(sizes) != 1:
             raise ValueError(f"matrices disagree on agent count: {sorted(sizes)}")
-        eta = min(adj.eta for adj in matrices)
-        super().__init__(matrices[0].m, eta, B)
+        # The realized weight floor: the smallest positive entry.
+        eta = min(float(w[w > 0].min()) for w in matrices)
+        super().__init__(matrices[0].shape[0], eta, B)
         self._matrices = matrices
+        self._partners = [_partner(w) for w in matrices]
         self.period = len(matrices)
 
-    def matrix(self, t: int) -> AdjacencyMatrix:
+    def matrix(self, t: int) -> np.ndarray:
         if t < 0:
             raise ValueError(f"slot index must be >= 0, got {t}")
         return self._matrices[t % self.period]
+
+    def mix(self, t: int, p: np.ndarray) -> np.ndarray:
+        """matrix(t) @ p, bit for bit, as a new array.
+
+        A matching slot is applied as the pair averages (p + p[partner]) / 2,
+        O(m) rows of work instead of a dense product; every other slot is
+        the dense product.  The two agree bit for bit while no half of an
+        entry of p is subnormal, no pair sum overflows and no entry is -0
+        (the dense sum turns it into +0): halving is then exact, and the
+        dense sum adds exact zeros to the exact halves, so each entry
+        rounds once, to fl(a/2 + b/2) = fl(a + b) / 2.  A product of up to
+        1021 slots with weights 1/2 has entries that are +0 or in
+        [2**-1021, 1], which meets the condition.
+        """
+        w = self.matrix(t)
+        partner = self._partners[t % self.period]
+        if partner is None:
+            return w @ p
+        out = p[partner]
+        out += p
+        out *= 0.5
+        return out
 
 
 class RandomSchedule(Schedule):
@@ -266,9 +250,9 @@ class RandomSchedule(Schedule):
         self.seed = seed
         # Only the window built last is kept: slots are read in increasing
         # order, and any window can be rebuilt from its seed.
-        self._window: tuple[int, list[AdjacencyMatrix]] | None = None
+        self._window: tuple[int, list[np.ndarray]] | None = None
 
-    def _build_window(self, window: int) -> list[AdjacencyMatrix]:
+    def _build_window(self, window: int) -> list[np.ndarray]:
         rng = np.random.default_rng([self.seed, window])
         mats = []
         for pos in range(self.B):
@@ -282,7 +266,7 @@ class RandomSchedule(Schedule):
             mats.append(_metropolis(adj))
         return mats
 
-    def matrix(self, t: int) -> AdjacencyMatrix:
+    def matrix(self, t: int) -> np.ndarray:
         if t < 0:
             raise ValueError(f"slot index must be >= 0, got {t}")
         window, pos = divmod(t, self.B)
@@ -349,22 +333,21 @@ def consensus_weights(schedule: Schedule, k: int) -> np.ndarray:
     period, so at most period matrices.  A call extends its phase's
     product from the stored length to k, or rebuilds it from the phase's
     first slot when k is shorter; a schedule without a period builds the
-    product from scratch.  Either way the slots are multiplied one at a
-    time in slot order, so the result, and every trace, is the same bit
-    for bit whatever was asked before.  Each slot is applied by its
-    AdjacencyMatrix.mix: pair averages for a matching slot, which round
-    like the dense product (see mix), and the dense product otherwise.
-    The module docstring says why a matrix power is not used.  The
-    stored product is returned as it is: a later call replaces it with a
-    new array, and never writes to one it has handed out.
+    product from scratch.  Either way each slot is applied in slot order
+    by schedule.mix(t, product), which gives the dense product's bits, so
+    the result, and every trace, is the same bit for bit whatever was
+    asked before.  The module docstring says why a matrix power is not
+    used.  The product is returned read-only, as it is stored: k = 1
+    returns the slot's own array, and a later call replaces a stored
+    product with a new array, never writing to one it has handed out.
     """
     start = slots_before(k)
     phase = None if schedule.period is None else start % schedule.period
     length, product = schedule._prefixes.get(phase, (0, None))
     if product is None or length > k:
-        length, product = 1, schedule.matrix(start).w
+        length, product = 1, schedule.matrix(start)
     for t in range(start + length, start + k):
-        product = schedule.matrix(t).mix(product)
+        product = schedule.mix(t, product)
     product.flags.writeable = False
     if phase is not None:
         schedule._prefixes[phase] = (k, product)
@@ -415,7 +398,7 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
     starts = min(horizon - B + 1, schedule.period)
     window: deque[np.ndarray] = deque(maxlen=B)
     for t in range(starts + B - 1):
-        window.append(schedule.matrix(t).w > 0)
+        window.append(schedule.matrix(t) > 0)
         if len(window) == B and not _connected(np.logical_or.reduce(window)):
             raise DisconnectedSchedule(
                 f"disconnected schedule window: the B={B} slots starting at "

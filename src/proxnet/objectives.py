@@ -323,8 +323,12 @@ class SigmoidLoss:
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:
-            norms_sq = np.sum(self.shard.features**2, axis=1)
-            self._lipschitz = sigmoid_curvature_peak() * float(np.mean(norms_sq))
+            # Features past about 1e154 overflow L to inf, which callers
+            # reject; numpy need not warn about it as well.
+            with np.errstate(over="ignore"):
+                norms_sq = np.sum(self.shard.features**2, axis=1)
+                mean = float(np.mean(norms_sq))
+            self._lipschitz = sigmoid_curvature_peak() * mean
         return self._lipschitz
 
 

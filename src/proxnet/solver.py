@@ -203,7 +203,7 @@ class _Observer:
             comm_cumulative=comm,
             f_avg=float(np.mean(values) + self.reg.value(x_bar)),
             D=diagnostics.disagreement(
-                x_next, self.schedule.matrix(max(comm - 1, 0)).w
+                x_next, self.schedule.matrix(max(comm - 1, 0))
             ),
             dx_norm=dx,
             e_norm=e_norm,
@@ -253,6 +253,8 @@ def run(setup: RunSetup) -> RunTrace:
         raise ValueError(f"snapshot_every must be >= 1, got {setup.snapshot_every}")
 
     lipschitz = max(obj.lipschitz() for obj in objectives)
+    if not math.isfinite(lipschitz):
+        raise ValueError(f"Lipschitz constant L = {lipschitz!r} is not finite")
     if lipschitz > 0 and not 0 < alpha < 1.0 / lipschitz:
         raise StepSizeError(
             f"step size {alpha} violates alpha < 1/L = {1.0 / lipschitz}"

@@ -174,9 +174,9 @@ def ordered_product(schedule, k: int) -> np.ndarray:
     multiply on the left.
     """
     start = k * (k - 1) // 2
-    product = schedule.matrix(start).w.copy()
+    product = schedule.matrix(start).copy()
     for t in range(start + 1, start + k):
-        product = schedule.matrix(t).w @ product
+        product = schedule.matrix(t) @ product
     return product
 
 
@@ -209,7 +209,7 @@ def trace_rows(setup, trace) -> list:
             k=0,
             comm_cumulative=0,
             f_avg=f_avg(x_bar),
-            D=diagnostics.disagreement(x, schedule.matrix(0).w),
+            D=diagnostics.disagreement(x, schedule.matrix(0)),
             dx_norm=0.0,
             e_norm=0.0,
             eps=0.0 if eps_supported else None,
@@ -242,7 +242,7 @@ def trace_rows(setup, trace) -> list:
                 k=k,
                 comm_cumulative=comm,
                 f_avg=f_avg(x_bar),
-                D=diagnostics.disagreement(snap.x, schedule.matrix(comm - 1).w),
+                D=diagnostics.disagreement(snap.x, schedule.matrix(comm - 1)),
                 dx_norm=dx,
                 e_norm=e_norm,
                 eps=eps,

@@ -370,9 +370,9 @@ def test_run_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"config error: bad data file {data}: 'utf-8' codec")
 
 
-# The two sizes below are past the 128 TiB of address space that Linux
-# gives a process by default, so the allocation fails before any memory
-# is touched.
+# The sizes below are past the 128 TiB of address space that Linux gives
+# a process by default, so the allocation fails before any memory is
+# touched.
 
 
 def test_run_names_a_data_file_too_large_to_load(tmp_path, capsys):
@@ -396,6 +396,48 @@ def test_run_names_a_problem_dimension_too_large(tmp_path, capsys):
     assert cli.main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: problem.n = 100000000 is too large")
+
+
+@pytest.mark.parametrize("command", ["run", "validate-graph"])
+@pytest.mark.parametrize("kind", ["complete", "ring", "matchings"])
+def test_a_graph_too_large_to_allocate_is_a_config_error(
+    tmp_path, capsys, command, kind
+):
+    # The m x m adjacency mask at m = 10^8 is 8.9 PiB.  It is reported
+    # before the malformed data file is read.
+    (tmp_path / "bad.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        "problem.kind = sigmoid\ndata.path = bad.libsvm\n"
+        f"graph.kind = {kind}\ngraph.m = 100000000\n"
+    )
+    assert cli.main([command, "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: graph.m = 100000000 is too large: "), err
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("run", ""), ("run", "algo.alpha = 0.1\n"), ("lipschitz", "")]
+)
+def test_an_overflowing_data_file_is_a_config_error(tmp_path, capsys, command, extra):
+    # 1e200 squared overflows the sigmoid L to inf.  The data file is blamed,
+    # not algo.safety or the step size, and numpy warns of nothing (the
+    # suite turns its warnings into errors).
+    data = tmp_path / "data.libsvm"
+    data.write_text("+1 1:1e200 2:1\n-1 1:0.5\n+1 2:1\n-1 1:1 2:2\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        "problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 2\n"
+        f"output.trace = {tmp_path / 'big.csv'}\n" + extra
+    )
+    assert cli.main([command, "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: data file {data} gives the non-finite Lipschitz "
+        "constant L = inf\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_build_problem_sigmoid_needs_data():
@@ -925,3 +967,39 @@ def test_entrypoint_raises_system_exit(tmp_path):
             cli.entrypoint()
         finally:
             sys.argv = old
+
+
+# A seed-0 run of the shipped data on a random schedule, recorded by
+# `proxnet run` with this config; no benchmark workload runs a random
+# schedule.  T = 3 because eps is rounding noise from k = 4 on (about
+# 2e-18), and its square root in residual_bound then moves by about 1e-9
+# with the BLAS build, past the benchmark's tolerance used here.
+RANDOM_CONFIG = """\
+problem.kind = sigmoid
+problem.lambda1 = 5e-4
+problem.lambda2 = 5e-4
+data.path = {data}
+data.n_override = 123
+graph.kind = random
+graph.m = 10
+graph.B = 3
+graph.seed = 0
+algo.alpha = auto
+algo.safety = 0.9
+algo.max_iter = 3
+"""
+
+
+def test_random_schedule_run_matches_its_recorded_trace(tmp_path, capsys):
+    data = Path(__file__).parents[1] / "data" / "synthetic.libsvm"
+    conf = tmp_path / "random.conf"
+    conf.write_text(RANDOM_CONFIG.format(data=data))
+    out = tmp_path / "random.csv"
+    assert cli.main(["run", "--config", str(conf), "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    recorded = Path(__file__).with_name("random_b3_trace.csv").read_text()
+    expected = [line.split(",") for line in recorded.splitlines()]
+    assert rows[0] == expected[0] and len(rows) == len(expected) == 5
+    for row, ref in zip(rows[1:], expected[1:]):
+        for name, value, want in zip(rows[0], map(float, row), map(float, ref)):
+            assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (row[0], name)

@@ -7,7 +7,6 @@ from proxnet.gossip import (
     replay_check,
 )
 from proxnet.graphs import (
-    AdjacencyMatrix,
     PeriodicSchedule,
     RandomSchedule,
     complete_schedule,
@@ -59,16 +58,16 @@ def test_two_rounds_match_hand_product() -> None:
     rng = np.random.default_rng(2)
     values = rng.standard_normal((3, 4))
     mixed = gossip_rounds(values, sched, start_slot=0, rounds=2)
-    assert np.max(np.abs(mixed - b.w @ (a.w @ values))) <= 1e-9
+    assert np.max(np.abs(mixed - b @ (a @ values))) <= 1e-9
 
 
 def test_round_skips_entries_at_or_below_zero() -> None:
-    # A supplied matrix may hold entries down to -tol; such a pair is no
-    # edge, so it carries no message.  Each receiver adds its senders in
+    # A supplied matrix may hold entries down to -graphs.WEIGHT_TOL; such a
+    # pair is no edge, so it carries no message.  Each receiver adds its senders in
     # increasing order after its own term, so the sums are exact here.
     e = 1e-12
     w = np.array([[0.5 + e, 0.5, -e], [0.5, 0.5, 0.0], [-e, 0.0, 1.0 + e]])
-    sched = PeriodicSchedule([AdjacencyMatrix(w)], B=1)
+    sched = PeriodicSchedule([w], B=1)
     values = np.array([[3.0], [-7.0], [1e6]])
     mixed = gossip_rounds(values, sched, start_slot=0, rounds=1)
     expected = np.array(

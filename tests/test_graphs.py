@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from proxnet.graphs import (
-    AdjacencyMatrix,
     DisconnectedSchedule,
     PeriodicSchedule,
     RandomSchedule,
@@ -46,20 +46,19 @@ def test_slots_before_rejects_zero() -> None:
 
 
 def test_metropolis_single_edge_pair() -> None:
-    adj = metropolis_weights([(0, 1)], 2)
-    assert adj.w == pytest.approx(np.full((2, 2), 0.5))
-    assert adj.eta == pytest.approx(0.5)
+    w = metropolis_weights([(0, 1)], 2)
+    assert w == pytest.approx(np.full((2, 2), 0.5))
+    assert PeriodicSchedule([w], B=1).eta == pytest.approx(0.5)
 
 
 def test_metropolis_empty_graph_is_identity() -> None:
-    adj = metropolis_weights([], 3)
-    assert np.array_equal(adj.w, np.eye(3))
+    assert np.array_equal(metropolis_weights([], 3), np.eye(3))
 
 
 def test_metropolis_path_graph() -> None:
     # Path 0-1-2: degrees 1, 2, 1.  Edge weights 1/(1+max deg) = 1/3,
     # diagonals absorb the rest.
-    adj = metropolis_weights([(0, 1), (1, 2)], 3)
+    w = metropolis_weights([(0, 1), (1, 2)], 3)
     expected = np.array(
         [
             [2 / 3, 1 / 3, 0.0],
@@ -67,7 +66,7 @@ def test_metropolis_path_graph() -> None:
             [0.0, 1 / 3, 2 / 3],
         ]
     )
-    assert adj.w == pytest.approx(expected, abs=1e-15)
+    assert w == pytest.approx(expected, abs=1e-15)
 
 
 def test_metropolis_floor_one_over_m() -> None:
@@ -76,8 +75,8 @@ def test_metropolis_floor_one_over_m() -> None:
         for _ in range(20):
             mask = rng.random((m, m)) < 0.4
             rows, cols = np.nonzero(np.triu(mask, k=1))
-            adj = metropolis_weights(list(zip(rows, cols)), m)
-            positive = adj.w[adj.w > 0]
+            w = metropolis_weights(list(zip(rows, cols)), m)
+            positive = w[w > 0]
             assert positive.min() >= 1.0 / m - 1e-15
 
 
@@ -104,31 +103,34 @@ def test_periodic_schedule_checks_slot_weights() -> None:
         (np.array([[0.5, 0.4], [0.4, 0.5]]), "stochastic"),
     ):
         with pytest.raises(ValueError, match=message):
-            PeriodicSchedule([AdjacencyMatrix(w)], B=1)
+            PeriodicSchedule([w], B=1)
         with pytest.raises(ValueError, match=message):
-            PeriodicSchedule([metropolis_weights([], 3), AdjacencyMatrix(w)], B=1)
+            PeriodicSchedule([metropolis_weights([], 3), w], B=1)
 
 
-def test_adjacency_matrix_is_a_read_only_copy() -> None:
+def test_periodic_schedule_keeps_a_read_only_copy() -> None:
     # The weight check runs once, when a schedule is built, so the stored
     # matrix must not change afterwards; the caller's array is not frozen.
     w = np.full((2, 2), 0.5)
-    adj = AdjacencyMatrix(w)
+    sched = PeriodicSchedule([w], B=1)
     with pytest.raises(ValueError):
-        adj.w[0, 0] = 1.0
+        sched.matrix(0)[0, 0] = 1.0
     w[0, 0] = 1.0
-    assert adj.w[0, 0] == 0.5
+    assert sched.matrix(0)[0, 0] == 0.5
+    # Every schedule hands out read-only arrays, a random window's included.
+    for slot in (complete_schedule(3).matrix(0), RandomSchedule(4, 2, 0).matrix(1)):
+        assert not slot.flags.writeable
 
 
-def test_adjacency_edges_and_eta() -> None:
-    adj = metropolis_weights([(0, 1), (1, 2)], 3)
-    assert edges(adj.w) == [(0, 1), (1, 2)]
-    assert adj.eta == pytest.approx(1 / 3)
-    assert adj.m == 3
+def test_periodic_schedule_edges_agents_and_eta() -> None:
+    sched = PeriodicSchedule([metropolis_weights([(0, 1), (1, 2)], 3)], B=1)
+    assert edges(sched.matrix(0)) == [(0, 1), (1, 2)]
+    assert sched.eta == pytest.approx(1 / 3)
+    assert sched.m == 3
 
 
-def _same_bits(adj: AdjacencyMatrix, edge_list) -> bool:
-    return adj.w.tobytes() == metropolis_by_edges(edge_list, adj.m).tobytes()
+def _same_bits(w: np.ndarray, edge_list) -> bool:
+    return w.tobytes() == metropolis_by_edges(edge_list, w.shape[0]).tobytes()
 
 
 def test_periodic_generators_match_the_edge_list_oracle() -> None:
@@ -169,14 +171,14 @@ def test_random_windows_match_the_edge_list_oracle(seed, m, B, window) -> None:
 
 def test_complete_schedule_uniform() -> None:
     sched = complete_schedule(5)
-    assert sched.matrix(0).w == pytest.approx(np.full((5, 5), 0.2), abs=1e-15)
+    assert sched.matrix(0) == pytest.approx(np.full((5, 5), 0.2), abs=1e-15)
     assert sched.eta == pytest.approx(0.2)
 
 
 def test_ring_schedule_small_sizes() -> None:
-    assert np.array_equal(ring_schedule(1).matrix(0).w, np.eye(1))
-    assert ring_schedule(2).matrix(0).w == pytest.approx(np.full((2, 2), 0.5))
-    w = ring_schedule(4).matrix(5).w
+    assert np.array_equal(ring_schedule(1).matrix(0), np.eye(1))
+    assert ring_schedule(2).matrix(0) == pytest.approx(np.full((2, 2), 0.5))
+    w = ring_schedule(4).matrix(5)
     assert w == pytest.approx(w.T)
     assert w @ np.ones(4) == pytest.approx(np.ones(4))
 
@@ -185,8 +187,8 @@ def test_ring_matchings_cover_ring() -> None:
     for m in (2, 3, 4, 5, 10, 11):
         sched = ring_matchings_schedule(m)
         assert sched.B == 2
-        even_edges = edges(sched.matrix(0).w)
-        odd_edges = edges(sched.matrix(1).w)
+        even_edges = edges(sched.matrix(0))
+        odd_edges = edges(sched.matrix(1))
         union = even_edges + [e for e in odd_edges if e not in even_edges]
         assert bfs_connected(m, union)
         if m >= 4:
@@ -200,7 +202,7 @@ def test_ring_matchings_weights_are_dyadic() -> None:
     # products of slot matrices keep row sums at exactly 1.0 in floats.
     sched = ring_matchings_schedule(10)
     for t in (0, 1):
-        w = sched.matrix(t).w
+        w = sched.matrix(t)
         assert set(np.unique(w)) <= {0.0, 0.5, 1.0}
     product = consensus_weights(sched, 8)
     assert np.array_equal(product @ np.ones(10), np.ones(10))
@@ -210,9 +212,9 @@ def test_periodic_schedule_cycles() -> None:
     a = metropolis_weights([(0, 1)], 3)
     b = metropolis_weights([(1, 2)], 3)
     sched = PeriodicSchedule([a, b], B=2)
-    assert sched.matrix(0) is a
-    assert sched.matrix(1) is b
-    assert sched.matrix(2) is a
+    assert np.array_equal(sched.matrix(0), a)
+    assert np.array_equal(sched.matrix(1), b)
+    assert sched.matrix(2) is sched.matrix(0)
     assert sched.eta == pytest.approx(0.5)
     with pytest.raises(ValueError):
         sched.matrix(-1)
@@ -232,21 +234,21 @@ def test_consensus_weights_multiply_later_slots_on_the_left() -> None:
     a = metropolis_weights([(0, 1)], 3)
     b = metropolis_weights([(1, 2)], 3)
     sched = PeriodicSchedule([a, b], B=2)
-    assert np.array_equal(consensus_weights(sched, 3), b.w @ (a.w @ b.w))
-    assert not np.allclose(consensus_weights(sched, 2), b.w @ a.w)
+    assert np.array_equal(consensus_weights(sched, 3), b @ (a @ b))
+    assert not np.allclose(consensus_weights(sched, 2), b @ a)
     first = consensus_weights(sched, 1)
-    assert np.array_equal(first, a.w) and not first.flags.writeable
+    assert np.array_equal(first, a) and not first.flags.writeable
 
 
 def test_consensus_weights_slot_window() -> None:
     # Iteration 2 consumes slots 1 and 2; for a period-2 schedule these
-    # hold matrices B and A, so the product is A(2) A(1) = a.w @ b.w.
+    # hold matrices B and A, so the product is A(2) A(1) = a @ b.
     a = metropolis_weights([(0, 1)], 3)
     b = metropolis_weights([(1, 2)], 3)
     sched = PeriodicSchedule([a, b], B=2)
-    assert consensus_weights(sched, 1) == pytest.approx(a.w)
-    assert consensus_weights(sched, 2) == pytest.approx(a.w @ b.w)
-    assert consensus_weights(sched, 3) == pytest.approx(b.w @ a.w @ b.w)
+    assert consensus_weights(sched, 1) == pytest.approx(a)
+    assert consensus_weights(sched, 2) == pytest.approx(a @ b)
+    assert consensus_weights(sched, 3) == pytest.approx(b @ a @ b)
     with pytest.raises(ValueError):
         consensus_weights(sched, 0)
 
@@ -293,14 +295,14 @@ def test_random_schedule_weights_match_the_product_from_scratch(seed, m, B, ks) 
 
 
 @st.composite
-def _matchings(draw, m: int) -> AdjacencyMatrix:
+def _matchings(draw, m: int) -> np.ndarray:
     """A slot that averages disjoint pairs; unmatched agents keep weight 1."""
     order = draw(st.permutations(range(m)))
     pairs = draw(st.integers(0, m // 2))
     w = np.eye(m)
     for i, j in zip(order[0 : 2 * pairs : 2], order[1 : 2 * pairs : 2]):
         w[i, i] = w[j, j] = w[i, j] = w[j, i] = 0.5
-    return AdjacencyMatrix(w)
+    return w
 
 
 # Nonzero entries keep their halves normal and their pair sums finite.
@@ -314,55 +316,58 @@ _MIX_ENTRIES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), m=st.integers(2, 64))
 def test_matching_mix_is_the_dense_product_bit_for_bit(data, m) -> None:
-    slot = data.draw(_matchings(m))
-    assert slot._partner is not None
+    w = data.draw(_matchings(m))
+    sched = PeriodicSchedule([w], B=1)
+    assert sched._partners[0] is not None
     if data.draw(st.booleans()):
         p = np.eye(m)
         for other in data.draw(st.lists(_matchings(m), min_size=1, max_size=8)):
-            p = other.w @ p
+            p = other @ p
     else:
         n = data.draw(st.integers(1, 4))
         p = data.draw(arrays(np.float64, (m, n), elements=_MIX_ENTRIES))
     before = p.copy()
-    assert slot.mix(p).tobytes() == (slot.w @ p).tobytes()
+    assert sched.mix(0, p).tobytes() == (w @ p).tobytes()
     assert p.tobytes() == before.tobytes()
 
 
-def _supplied(w) -> AdjacencyMatrix:
-    return PeriodicSchedule([AdjacencyMatrix(w)], B=1).matrix(0)
+def _slots(*schedules) -> list:
+    """(schedule, t) for every slot of one period of each schedule."""
+    return [(sched, t) for sched in schedules for t in range(sched.period)]
 
 
 def test_mix_detects_matchings_and_nothing_else(tmp_path) -> None:
     path = tmp_path / "half.txt"
     path.write_text("0.5 0.5 0\n0.5 0.5 0\n0 0 1\n")
-    half = _supplied(read_matrix_file(path)[0])
-    matchings = [
-        *(ring_matchings_schedule(m).matrix(t) for m in (2, 3, 7, 10) for t in (0, 1)),
-        ring_schedule(2).matrix(0),
-        half,
-    ]
-    for slot in matchings:
-        assert slot._partner is not None
-    assert ring_matchings_schedule(4).matrix(0)._partner.tolist() == [1, 0, 3, 2]
-    assert ring_matchings_schedule(4).matrix(1)._partner.tolist() == [3, 2, 1, 0]
-    assert half._partner.tolist() == [1, 0, 2]
+    half = PeriodicSchedule(read_matrix_file(path), B=1)
+    matchings = _slots(
+        *(ring_matchings_schedule(m) for m in (2, 3, 7, 10)), ring_schedule(2), half
+    )
+    for sched, t in matchings:
+        assert sched._partners[t] is not None
+    partners = ring_matchings_schedule(4)._partners
+    assert [p.tolist() for p in partners] == [[1, 0, 3, 2], [3, 2, 1, 0]]
+    assert half._partners[0].tolist() == [1, 0, 2]
     ring = np.roll(np.eye(4), 1, axis=0)
     cycle = 0.5 * np.eye(4) + 0.25 * (ring + ring.T)
-    dense = [
-        *(ring_schedule(m).matrix(0) for m in (3, 4, 9)),
-        *(complete_schedule(m).matrix(0) for m in (3, 5)),
-        _supplied([[0.6, 0.4], [0.4, 0.6]]),
-        _supplied([[0.5 + 1e-12, 0.5 - 1e-12], [0.5 - 1e-12, 0.5 + 1e-12]]),
+    supplied = [
+        [[0.6, 0.4], [0.4, 0.6]],
+        [[0.5 + 1e-12, 0.5 - 1e-12], [0.5 - 1e-12, 0.5 + 1e-12]],
         # A matching's diagonal and nonzero count, but rows 0-3 mix three
         # agents each.
-        _supplied(np.block([[cycle, np.zeros((4, 4))], [np.zeros((4, 4)), np.eye(4)]])),
+        np.block([[cycle, np.zeros((4, 4))], [np.zeros((4, 4)), np.eye(4)]]),
     ]
-    for slot in dense:
-        assert slot._partner is None
+    dense = _slots(
+        *(ring_schedule(m) for m in (3, 4, 9)),
+        *(complete_schedule(m) for m in (3, 5)),
+        *(PeriodicSchedule([w], B=1) for w in supplied),
+    )
+    for sched, t in dense:
+        assert sched._partners[t] is None
     rng = np.random.default_rng(5)
-    for slot in matchings + dense:
-        p = rng.standard_normal((slot.m, 3))
-        assert slot.mix(p).tobytes() == (slot.w @ p).tobytes()
+    for sched, t in matchings + dense:
+        p = rng.standard_normal((sched.m, 3))
+        assert sched.mix(t, p).tobytes() == (sched.matrix(t) @ p).tobytes()
 
 
 def test_consensus_weights_reads_slots_linearly() -> None:
@@ -438,35 +443,28 @@ def test_random_schedule_reproducible() -> None:
     two = RandomSchedule(m=7, B=3, seed=42)
     other = RandomSchedule(m=7, B=3, seed=43)
     for t in range(12):
-        assert np.array_equal(one.matrix(t).w, two.matrix(t).w)
-    assert any(
-        not np.array_equal(one.matrix(t).w, other.matrix(t).w) for t in range(12)
-    )
-
-
-def _live_adjacency_matrices() -> int:
-    gc.collect()
-    return sum(type(obj) is AdjacencyMatrix for obj in gc.get_objects())
+        assert np.array_equal(one.matrix(t), two.matrix(t))
+    assert any(not np.array_equal(one.matrix(t), other.matrix(t)) for t in range(12))
 
 
 def test_random_schedule_holds_one_window() -> None:
     sched = RandomSchedule(m=10, B=3, seed=0)
     before = [sched.matrix(t) for t in range(6)]
-    held = _live_adjacency_matrices()
-    for t in range(3_000):
-        sched.matrix(t)
-    assert _live_adjacency_matrices() - held <= sched.B
+    walked = [weakref.ref(sched.matrix(t)) for t in range(3_000)]
+    gc.collect()
+    # Of the slots walked, only the last window's are still alive.
+    assert sum(ref() is not None for ref in walked) <= sched.B
     # Slots read again after the walk, late and early, are rebuilt unchanged.
     slots = [*range(6), *range(2_994, 3_000), *range(6)]
     after = [sched.matrix(t) for t in slots[6:]]
     fresh = RandomSchedule(m=10, B=3, seed=0)
     for adj, t in zip(before + after, slots):
-        assert adj.w.tobytes() == fresh.matrix(t).w.tobytes()
+        assert adj.tobytes() == fresh.matrix(t).tobytes()
 
 
 def _assert_tree_slot_spans(sched, window) -> None:
     """The window's tree slot alone has m - 1 edges that connect all agents."""
-    tree = edges(sched.matrix(window * sched.B).w)
+    tree = edges(sched.matrix(window * sched.B))
     assert len(tree) == sched.m - 1, window
     assert bfs_connected(sched.m, tree), window
 
@@ -514,7 +512,7 @@ def _first_disconnected_window(sched, horizon):
         union = [
             edge
             for t in range(start, start + sched.B)
-            for edge in edges(sched.matrix(t).w)
+            for edge in edges(sched.matrix(t))
         ]
         if not bfs_connected(sched.m, union):
             return start
@@ -523,7 +521,7 @@ def _first_disconnected_window(sched, horizon):
 
 def _assert_weight_floor(sched, horizon):
     for t in range(horizon):
-        w = sched.matrix(t).w
+        w = sched.matrix(t)
         assert w[w > 0].min() >= sched.eta - 1e-12, t
 
 
@@ -612,8 +610,8 @@ def test_validate_schedule_rejects_short_horizon() -> None:
 
 
 def test_matrix_file_round_trip(tmp_path) -> None:
-    a = metropolis_weights([(0, 1)], 3).w
-    b = metropolis_weights([(1, 2)], 3).w
+    a = metropolis_weights([(0, 1)], 3)
+    b = metropolis_weights([(1, 2)], 3)
     path = tmp_path / "mats.txt"
     blocks = []
     for w in (a, b):
@@ -623,6 +621,6 @@ def test_matrix_file_round_trip(tmp_path) -> None:
     assert len(loaded) == 2
     assert np.array_equal(loaded[0], a)
     assert np.array_equal(loaded[1], b)
-    sched = PeriodicSchedule([AdjacencyMatrix(w) for w in loaded], B=2)
+    sched = PeriodicSchedule(loaded, B=2)
     assert sched.m == 3
     validate_schedule(sched, horizon=8)

@@ -9,7 +9,7 @@ from proxnet.graphs import (
     ring_matchings_schedule,
     ring_schedule,
 )
-from proxnet.objectives import Quadratic, SigmoidLoss, quadratic_family
+from proxnet.objectives import Dataset, Quadratic, SigmoidLoss, quadratic_family
 from proxnet.objectives import shard, synthetic_classification
 from proxnet.regularizers import Box, L1, Zero
 from proxnet.solver import (
@@ -228,6 +228,25 @@ def test_run_rejects_large_step() -> None:
         )
         with pytest.raises(StepSizeError):
             run(setup)
+
+
+def test_run_rejects_a_non_finite_lipschitz_constant() -> None:
+    # A feature of 1e200 overflows the sigmoid L to inf.  That is not a step
+    # size fault, though every alpha fails alpha < 1/L = 0.0.
+    data = Dataset(np.array([[1e200, 1.0], [0.5, 0.0]]), np.array([1.0, -1.0]))
+    objectives = [SigmoidLoss(data), SigmoidLoss(data)]
+    for alpha in (0.1, 1e-300):
+        setup = RunSetup(
+            objectives=objectives,
+            regularizer=Zero(2),
+            schedule=complete_schedule(2),
+            alpha=alpha,
+            max_iter=5,
+            init=np.zeros((2, 2)),
+        )
+        with pytest.raises(ValueError, match=r"^Lipschitz constant L = inf ") as info:
+            run(setup)
+        assert not isinstance(info.value, StepSizeError)
 
 
 def test_run_rejects_invalid_schedule() -> None:
