@@ -268,10 +268,10 @@ def build_schedule(cfg: ExperimentConfig) -> Schedule:
             return ring_schedule(m, B=cfg.graph_B or 1)
         if kind == "matchings":
             return ring_matchings_schedule(m)
+        if kind == "random":
+            return RandomSchedule(m=m, B=cfg.graph_B, seed=cfg.graph_seed)
     except MemoryError as exc:
         raise ConfigError(f"graph.m = {m} is too large: {exc}") from None
-    if kind == "random":
-        return RandomSchedule(m=m, B=cfg.graph_B, seed=cfg.graph_seed)
     try:  # file
         matrices = read_matrix_file(cfg.graph_path)
         schedule = PeriodicSchedule(matrices, B=cfg.graph_B or len(matrices))

@@ -23,12 +23,12 @@ A periodic slot that averages disjoint pairs (every matchings slot) is
 applied by :meth:`PeriodicSchedule.mix` as O(m) pair averages with the
 dense product's bits; every other slot, a random one too, is mixed densely.
 
-The complete, ring, matchings and random generators build each slot's
-graph as a boolean adjacency mask, which one numpy builder turns into
-Metropolis weights; only the public :func:`metropolis_weights` takes an
-edge list, and checks it.  A :class:`PeriodicSchedule` checks its
-matrices once, when it is built; the thousands of Metropolis windows of
-a random run are valid by construction, which the tests check instead.
+Every generated slot, complete, ring, matchings or random, is a boolean
+adjacency mask that one numpy builder turns into Metropolis weights.  A
+:class:`PeriodicSchedule` checks its matrices once, when it is built.  A
+:class:`RandomSchedule` draws a slot only when it is read and keeps the
+last one; its Metropolis slots are valid by construction, which the tests
+check instead.
 
 The convergence analysis assumes that every B consecutive slots connect
 all agents and that every positive weight is at least a floor eta.
@@ -98,34 +98,6 @@ def _partner(w: np.ndarray) -> np.ndarray | None:
     matching[idx, idx] = 0.5
     matching[idx, partner] += 0.5
     return partner if np.array_equal(w, matching) else None
-
-
-def metropolis_weights(edge_set, m: int) -> np.ndarray:
-    """Metropolis weights of one undirected graph on m nodes.
-
-    Each edge {i, j} receives weight 1 / (1 + max(deg_i, deg_j)) and every
-    node keeps the leftover mass on its diagonal entry.  The result is a
-    read-only m x m float array, symmetric and doubly stochastic for any
-    topology, ready to be one slot of a PeriodicSchedule.  Every positive
-    entry is at least 1/m, and isolated nodes keep full self-weight.
-
-    edge_set holds undirected (i, j) pairs of zero-based node indices.
-    Edge lists are accepted here only; self-loops, duplicates (in either
-    orientation) and nodes out of range are rejected as the edges are
-    written into an adjacency mask, as the generators build theirs.
-    """
-    if m < 1:
-        raise ValueError(f"need at least one agent, got m={m}")
-    adj = np.zeros((m, m), dtype=bool)
-    for i, j in edge_set:
-        if not (0 <= i < m and 0 <= j < m):
-            raise ValueError(f"edge ({i}, {j}) out of range for m={m}")
-        if i == j:
-            raise ValueError(f"self-loop at node {i} is not allowed")
-        if adj[i, j]:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        adj[i, j] = adj[j, i] = True
-    return _metropolis(adj)
 
 
 def _metropolis(adj: np.ndarray) -> np.ndarray:
@@ -240,39 +212,45 @@ class RandomSchedule(Schedule):
     construction: every node of a random order attaches to one placed
     before it.  Identical seeds reproduce identical matrices at every slot.
 
-    Windows skip PeriodicSchedule's weight check: their Metropolis weights
-    meet it by construction, and the tests check drawn windows instead.
+    Window w's slots are drawn in order from default_rng([seed, w]).  Only
+    the slot read last is kept, with its window's generator: a later slot
+    of the same window is drawn forward from it, and any other slot from
+    its window's start.  The constructor draws slot 0.  Slots skip
+    PeriodicSchedule's weight check: their Metropolis weights meet it by
+    construction, and the tests check drawn slots instead.
     """
 
     def __init__(self, m: int, B: int, seed: int) -> None:
-        # Metropolis weights never fall below 1/m, see metropolis_weights.
+        # Metropolis weights never fall below 1 / (1 + max degree) >= 1/m.
         super().__init__(m, 1.0 / m, B)
         self.seed = seed
-        # Only the window built last is kept: slots are read in increasing
-        # order, and any window can be rebuilt from its seed.
-        self._window: tuple[int, list[np.ndarray]] | None = None
+        self._rng = np.random.default_rng([seed, 0])
+        self._t, self._w = 0, _metropolis(self._draw(0))
 
-    def _build_window(self, window: int) -> list[np.ndarray]:
-        rng = np.random.default_rng([self.seed, window])
-        mats = []
-        for pos in range(self.B):
-            if pos == 0 and self.m > 1:
-                order = rng.permutation(self.m)
-                parents = [rng.integers(i) for i in range(1, self.m)]
-                adj = np.zeros((self.m, self.m), dtype=bool)
-                adj[order[1:], order[parents]] = True
-            else:
-                adj = np.triu(rng.random((self.m, self.m)) < 0.25, k=1)
-            mats.append(_metropolis(adj))
-        return mats
+    def _draw(self, t: int) -> np.ndarray:
+        """Adjacency mask of slot t, drawn next from the window's generator."""
+        # Allocated before any draw, so a size too large fails at once.
+        adj = np.zeros((self.m, self.m), dtype=bool)
+        if t % self.B == 0 and self.m > 1:
+            order = self._rng.permutation(self.m)
+            parents = self._rng.integers(np.arange(1, self.m))
+            adj[order[1:], order[parents]] = True
+            return adj
+        np.less(self._rng.random((self.m, self.m)), 0.25, out=adj)
+        return np.triu(adj, k=1)
 
     def matrix(self, t: int) -> np.ndarray:
         if t < 0:
             raise ValueError(f"slot index must be >= 0, got {t}")
-        window, pos = divmod(t, self.B)
-        if self._window is None or self._window[0] != window:
-            self._window = (window, self._build_window(window))
-        return self._window[1][pos]
+        if t != self._t:
+            window = t // self.B
+            if t < self._t or window != self._t // self.B:
+                self._rng = np.random.default_rng([self.seed, window])
+                self._t = window * self.B - 1
+            for s in range(self._t + 1, t + 1):
+                adj = self._draw(s)
+            self._t, self._w = t, _metropolis(adj)
+        return self._w
 
 
 def complete_schedule(m: int, B: int = 1) -> PeriodicSchedule:
@@ -377,8 +355,10 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
     Every window of B consecutive slots inside the horizon must connect all
     agents, and the horizon must hold at least one window.  A periodic
     schedule repeats its windows, so only the first min(horizon - B + 1,
-    period) window starts are examined, reading at most period + B - 1
-    slots whatever the horizon.  Raises DisconnectedSchedule at the first
+    period) window starts are examined.  A window of B >= period slots
+    holds every slot of the period, so its first min(B, period) slots
+    connect what it connects.  At most 2 period - 1 slots are read,
+    whatever the horizon and B.  Raises DisconnectedSchedule at the first
     window that fails.  A schedule without a period, a random one, is not
     read: it is connected by construction (see RandomSchedule).
 
@@ -396,13 +376,14 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
     if schedule.period is None:
         return
     starts = min(horizon - B + 1, schedule.period)
-    window: deque[np.ndarray] = deque(maxlen=B)
-    for t in range(starts + B - 1):
+    width = min(B, schedule.period)
+    window: deque[np.ndarray] = deque(maxlen=width)
+    for t in range(starts + width - 1):
         window.append(schedule.matrix(t) > 0)
-        if len(window) == B and not _connected(np.logical_or.reduce(window)):
+        if len(window) == width and not _connected(np.logical_or.reduce(window)):
             raise DisconnectedSchedule(
                 f"disconnected schedule window: the B={B} slots starting at "
-                f"slot {t - B + 1} do not connect all {schedule.m} agents"
+                f"slot {t - width + 1} do not connect all {schedule.m} agents"
             )
 
 

@@ -399,17 +399,19 @@ def test_run_names_a_problem_dimension_too_large(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "validate-graph"])
-@pytest.mark.parametrize("kind", ["complete", "ring", "matchings"])
+@pytest.mark.parametrize("kind", ["complete", "ring", "matchings", "random"])
 def test_a_graph_too_large_to_allocate_is_a_config_error(
     tmp_path, capsys, command, kind
 ):
     # The m x m adjacency mask at m = 10^8 is 8.9 PiB.  It is reported
-    # before the malformed data file is read.
+    # before the malformed data file is read; a random schedule allocates
+    # slot 0's mask before drawing anything.
     (tmp_path / "bad.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
     conf = tmp_path / "exp.conf"
     conf.write_text(
         "problem.kind = sigmoid\ndata.path = bad.libsvm\n"
         f"graph.kind = {kind}\ngraph.m = 100000000\n"
+        + ("graph.B = 3\n" if kind == "random" else "")
     )
     assert cli.main([command, "--config", str(conf)]) == 2
     err = capsys.readouterr().err

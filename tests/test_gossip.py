@@ -11,7 +11,6 @@ from proxnet.graphs import (
     RandomSchedule,
     complete_schedule,
     consensus_weights,
-    metropolis_weights,
     ring_matchings_schedule,
     slots_before,
 )
@@ -20,6 +19,7 @@ from proxnet.regularizers import L1
 from proxnet.solver import IterationSnapshot, RunSetup, RunTrace, run
 
 from fixtures import small_quadratic_run
+from oracles import metropolis_by_edges
 
 
 def _small_run(T: int = 8, snapshot_every: int = 1) -> tuple:
@@ -45,15 +45,15 @@ def test_one_round_complete_graph_averages() -> None:
 
 
 def test_edgeless_graph_moves_nothing() -> None:
-    sched = PeriodicSchedule([metropolis_weights([], 3)], B=1)
+    sched = PeriodicSchedule([metropolis_by_edges([], 3)], B=1)
     values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     mixed = gossip_rounds(values, sched, start_slot=0, rounds=5)
     assert np.array_equal(mixed, values)
 
 
 def test_two_rounds_match_hand_product() -> None:
-    a = metropolis_weights([(0, 1)], 3)
-    b = metropolis_weights([(1, 2)], 3)
+    a = metropolis_by_edges([(0, 1)], 3)
+    b = metropolis_by_edges([(1, 2)], 3)
     sched = PeriodicSchedule([a, b], B=2)
     rng = np.random.default_rng(2)
     values = rng.standard_normal((3, 4))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from proxnet import graphs
 from proxnet.graphs import (
     PeriodicSchedule,
     RandomSchedule,
     complete_schedule,
-    metropolis_weights,
     ring_matchings_schedule,
     ring_schedule,
 )
@@ -25,7 +25,7 @@ from proxnet.solver import (
 from proxnet.diagnostics import gradient_averaging_error
 
 from fixtures import matchings_run
-from oracles import trace_rows
+from oracles import metropolis_by_edges, trace_rows
 
 
 class _CountingNanObjective:
@@ -251,7 +251,7 @@ def test_run_rejects_a_non_finite_lipschitz_constant() -> None:
 
 def test_run_rejects_invalid_schedule() -> None:
     # Two disconnected pairs can never reach consensus.
-    adj = metropolis_weights([(0, 1), (2, 3)], 4)
+    adj = metropolis_by_edges([(0, 1), (2, 3)], 4)
     objectives = quadratic_family(m=4, n=2, seed=2)
     setup = RunSetup(
         objectives=objectives,
@@ -265,29 +265,31 @@ def test_run_rejects_invalid_schedule() -> None:
         run(setup)
 
 
-def test_run_builds_each_random_window_once(monkeypatch) -> None:
-    # 30 iterations read 465 slots, 155 windows of 3; the run's validation
-    # reads none of them, and the solver reads each window's slots in turn.
-    built = []
-    build = RandomSchedule._build_window
+@pytest.mark.parametrize("m, B, T, draws", [(5, 3, 30, 465), (3, 1000, 3, 6)])
+def test_run_draws_each_random_slot_once(monkeypatch, m, B, T, draws) -> None:
+    # T iterations read the T(T+1)/2 slots in turn; the run's validation
+    # reads none of them, and the trace's D reuses the slot read last.  A
+    # slot is drawn when it is read, however long its window.
+    metropolis = graphs._metropolis
+    drawn = []
 
-    def spy(self, window):
-        built.append(window)
-        return build(self, window)
+    def spy(adj):
+        drawn.append(adj.shape)
+        return metropolis(adj)
 
-    monkeypatch.setattr(RandomSchedule, "_build_window", spy)
-    objectives = quadratic_family(m=5, n=2, seed=2)
+    monkeypatch.setattr(graphs, "_metropolis", spy)
+    objectives = quadratic_family(m=m, n=2, seed=2)
     run(
         RunSetup(
             objectives=objectives,
             regularizer=Zero(2),
-            schedule=RandomSchedule(m=5, B=3, seed=0),
+            schedule=RandomSchedule(m=m, B=B, seed=0),
             alpha=0.5 / max(o.lipschitz() for o in objectives),
-            max_iter=30,
-            init=np.zeros((5, 2)),
+            max_iter=T,
+            init=np.zeros((m, 2)),
         )
     )
-    assert built == list(range(155))
+    assert len(drawn) == draws == T * (T + 1) // 2
 
 
 def test_run_rejects_mismatched_sizes() -> None:
