@@ -22,9 +22,10 @@ class IterationMetrics:
     eps is None when the prox-inexactness certificate is unavailable,
     either because the regularizer has unbounded subgradients or because
     the averaged iterate left the ball on which the bound was declared.
-    rate_T_times_stat is the running sum of squared mean-iterate moves,
-    which is T times their mean over the first T iterations, the rate
-    statistic.
+    f_avg is +inf on row 0 when the start lies outside the domain of h,
+    and finite on every later row.  rate_T_times_stat is the running sum
+    of squared mean-iterate moves, which is T times their mean over the
+    first T iterations, the rate statistic.
     """
 
     k: int

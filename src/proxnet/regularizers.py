@@ -1,19 +1,28 @@
-"""Shared non-smooth regularizers and their proximal operators.
+"""The shared non-smooth regularizer h and its proximal operator.
 
-Every supported regularizer is coordinatewise separable, so its proximal
-operator has a closed form and applies along the trailing axis of any
-input array.  The inexact-prox acceptance test lives here as well.
+Every kind of h is one coordinatewise separable function, h(x) =
+lam1 ||x||_1 + lam2 ||x||^2 + indicator of [lo, hi]^n, with the unused
+terms switched off: a zero weight or an infinite bound.  Per coordinate,
+lam1 |z| + lam2 z^2 + (z - v)^2 / (2 alpha) is convex in z, so its
+minimizer over an interval is its free minimizer clamped to that
+interval.  The prox is therefore shrink, rescale, clamp: clip(soft(v,
+alpha lam1) / (1 + 2 alpha lam2), lo, hi) (Beck, First-Order Methods in
+Optimization, SIAM 2017, ch. 6), along the trailing axis of any array.
+Zero, L1, SquaredL2, ElasticNet and Box are presets: each returns a
+Regularizer with the other terms off.  The inexact-prox acceptance test
+lives here as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Feasibility slack when evaluating the box indicator: prox outputs sit
-# exactly on the boundary, and downstream arithmetic may perturb them.
+# Feasibility slack, relative to max(1, |bound|), when evaluating the box
+# indicator: prox outputs sit exactly on the boundary, and averaging them
+# may round them off it by a few ulps of the bound.
 _BOX_SLACK = 1e-12
 
 
@@ -25,15 +34,28 @@ def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Base for the shared regularizer h; subclasses fix the penalty."""
+    """h(x) = lam1 ||x||_1 + lam2 ||x||^2 on the box [lo, hi]^n, +inf off it.
+
+    A zero weight changes no result: soft(v, 0) == v, dividing by 1.0 is
+    exact, and value skips the term, so an overflowing |x|^2 cannot make
+    0 * inf.  An infinite bound clamps nothing.
+    """
 
     n: int
-
-    kind = "base"
+    lam1: float = 0.0
+    lam2: float = 0.0
+    lo: float = -math.inf
+    hi: float = math.inf
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got n={self.n}")
+        if self.lam1 < 0 or self.lam2 < 0:
+            raise ValueError(
+                f"penalties must be nonnegative, got ({self.lam1}, {self.lam2})"
+            )
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
     def _check(self, v: np.ndarray, alpha: float) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -47,65 +69,38 @@ class Regularizer:
 
     def value(self, x: np.ndarray):
         """h(x), reduced over the trailing axis."""
-        raise NotImplementedError
-
-    def prox(self, v: np.ndarray, alpha: float) -> np.ndarray:
-        """argmin_z h(z) + ||z - v||^2 / (2 alpha), trailing axis."""
-        raise NotImplementedError
-
-    def subgradient_bound(self, radius: float | None = None) -> float:
-        """Upper bound on ||z|| over z in the subdifferential of h.
-
-        Kinds with a squared-norm term are only bounded on a ball; those
-        require the radius argument.  The box indicator has unbounded
-        subgradients and reports infinity.
-        """
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ElasticNet(Regularizer):
-    """h(x) = lam1 * ||x||_1 + lam2 * ||x||^2.
-
-    The prox shrinks first and rescales second: first-order optimality of
-    lam1|z| + lam2 z^2 + (z-v)^2/(2a) gives z = soft(v, a lam1)/(1+2a lam2).
-    Zero, L1 and SquaredL2 pin their unused weights at zero.  A zero
-    weight changes no result: soft(v, 0) == v, dividing by 1.0 is exact,
-    and value skips the term, so an overflowing |x|^2 cannot make 0 * inf.
-    """
-
-    lam1: float = 0.0
-    lam2: float = 0.0
-
-    kind = "elastic-net"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.lam1 < 0 or self.lam2 < 0:
-            raise ValueError(
-                f"penalties must be nonnegative, got ({self.lam1}, {self.lam2})"
-            )
-
-    def value(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1])
         if self.lam1 > 0:
             out = out + self.lam1 * np.sum(np.abs(x), axis=-1)
         if self.lam2 > 0:
             out = out + self.lam2 * np.sum(x * x, axis=-1)
+        lo = self.lo - _BOX_SLACK * max(1.0, abs(self.lo))
+        hi = self.hi + _BOX_SLACK * max(1.0, abs(self.hi))
+        out = np.where(np.all((x >= lo) & (x <= hi), axis=-1), out, np.inf)
         return float(out) if x.ndim == 1 else out
 
-    def prox(self, v, alpha):
+    def prox(self, v: np.ndarray, alpha: float) -> np.ndarray:
+        """argmin_z h(z) + ||z - v||^2 / (2 alpha), trailing axis."""
         v = self._check(v, alpha)
-        return soft_threshold(v, alpha * self.lam1) / (1.0 + 2.0 * alpha * self.lam2)
+        free = soft_threshold(v, alpha * self.lam1) / (1.0 + 2.0 * alpha * self.lam2)
+        return np.clip(free, self.lo, self.hi)
 
-    def subgradient_bound(self, radius=None):
+    def subgradient_bound(self, radius: float | None = None) -> float:
+        """Upper bound on ||z|| over z in the subdifferential of h.
+
+        A finite bound adds normal-cone directions of any norm: inf.
+        Otherwise lam1 sqrt(n), plus 2 lam2 radius for a squared-norm term,
+        which is only bounded on a ball and then requires its radius.
+        """
+        if math.isfinite(self.lo) or math.isfinite(self.hi):
+            return math.inf
         bound = self.lam1 * math.sqrt(self.n)
         if self.lam2 > 0:
             if radius is None:
                 raise ValueError(
-                    f"{self.kind} subgradients are only bounded on a ball; "
-                    "pass the iterate-norm radius"
+                    "a squared-norm term's subgradients are only bounded on a "
+                    "ball; pass the iterate-norm radius"
                 )
             if not radius > 0:
                 raise ValueError(f"radius must be positive, got {radius}")
@@ -113,63 +108,30 @@ class ElasticNet(Regularizer):
         return bound
 
 
-@dataclass(frozen=True)
-class Zero(ElasticNet):
+# The presets keep the names and signatures of the kinds they describe.
+def Zero(n: int) -> Regularizer:
     """h identically zero; prox is the identity."""
-
-    lam1: float = field(default=0.0, init=False)
-    lam2: float = field(default=0.0, init=False)
-
-    kind = "zero"
+    return Regularizer(n)
 
 
-@dataclass(frozen=True)
-class L1(ElasticNet):
+def L1(n: int, lam1: float = 0.0) -> Regularizer:
     """h(x) = lam1 * ||x||_1."""
-
-    lam2: float = field(default=0.0, init=False)
-
-    kind = "l1"
+    return Regularizer(n, lam1=lam1)
 
 
-@dataclass(frozen=True)
-class SquaredL2(ElasticNet):
+def SquaredL2(n: int, lam2: float = 0.0) -> Regularizer:
     """h(x) = lam2 * ||x||^2."""
-
-    lam1: float = field(default=0.0, init=False)
-
-    kind = "squared-l2"
+    return Regularizer(n, lam2=lam2)
 
 
-@dataclass(frozen=True)
-class Box(Regularizer):
+def ElasticNet(n: int, lam1: float = 0.0, lam2: float = 0.0) -> Regularizer:
+    """h(x) = lam1 * ||x||_1 + lam2 * ||x||^2."""
+    return Regularizer(n, lam1=lam1, lam2=lam2)
+
+
+def Box(n: int, lo: float = -1.0, hi: float = 1.0) -> Regularizer:
     """Indicator of the box [lo, hi]^n; prox is the coordinatewise clamp."""
-
-    lo: float = -1.0
-    hi: float = 1.0
-
-    kind = "box"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.all(
-            (x >= self.lo - _BOX_SLACK) & (x <= self.hi + _BOX_SLACK), axis=-1
-        )
-        out = np.where(inside, 0.0, np.inf)
-        return float(out) if x.ndim == 1 else out
-
-    def prox(self, v, alpha):
-        v = self._check(v, alpha)
-        return np.clip(v, self.lo, self.hi)
-
-    def subgradient_bound(self, radius=None):
-        # Normal cone directions at the boundary have no norm bound.
-        return math.inf
+    return Regularizer(n, lo=lo, hi=hi)
 
 
 def make_regularizer(

@@ -197,11 +197,12 @@ class _Observer:
                 else None
             )
         comm = slots_before(k + 1)
-        values = [obj.value(x_bar) for obj in self.objectives]
+        smooth = np.mean([obj.value(x_bar) for obj in self.objectives])
+        h = self.reg.value(x_bar)
         row = diagnostics.IterationMetrics(
             k=k,
             comm_cumulative=comm,
-            f_avg=float(np.mean(values) + self.reg.value(x_bar)),
+            f_avg=float(smooth + h),
             D=diagnostics.disagreement(
                 x_next, self.schedule.matrix(max(comm - 1, 0))
             ),
@@ -218,9 +219,14 @@ class _Observer:
             rate_T_times_stat=rate,
         )
         # eps is None when unavailable, and geo_bound reads inf once the
-        # envelope passes the float range; every other column is finite.
+        # envelope passes the float range.  f_avg is F = inf at a start
+        # outside the domain of h; every later x_bar is a mean of prox
+        # outputs, inside it.  Every other column is finite.
+        may_be_inf = {"geo_bound"}
+        if k == 0 and math.isfinite(smooth) and h == math.inf:
+            may_be_inf.add("f_avg")
         for name, value in vars(row).items():
-            if value is None or (name == "geo_bound" and value == math.inf):
+            if value is None or (name in may_be_inf and value == math.inf):
                 continue
             if not math.isfinite(value):
                 raise NumericalFault(f"non-finite trace column {name}", iteration=k)

@@ -270,7 +270,7 @@ def test_build_problem_quadratic_defaults():
     objectives, reg, n, provenance = build_problem(cfg)
     assert len(objectives) == 4 and n == 3
     assert all(isinstance(obj, Quadratic) for obj in objectives)
-    assert isinstance(reg, Zero)
+    assert reg == Zero(3)
     assert provenance == {}
 
 
@@ -280,7 +280,7 @@ def test_build_problem_reg_override_uses_problem_penalties():
         "problem.lambda1 = 0.25\nreg.kind = l1\n"
     )
     _objs, reg, _n, _prov = build_problem(cfg)
-    assert isinstance(reg, L1) and reg.lam1 == 0.25
+    assert reg == L1(2, 0.25)
 
 
 def test_build_problem_sigmoid_splits(tmp_path):
@@ -293,7 +293,7 @@ def test_build_problem_sigmoid_splits(tmp_path):
     objectives, reg, n, _prov = build_problem(load_config(conf))
     assert n == 6 and len(objectives) == 4
     assert all(isinstance(obj, SigmoidLoss) for obj in objectives)
-    assert isinstance(reg, ElasticNet) and reg.lam1 == 0.01 and reg.lam2 == 0.02
+    assert reg == ElasticNet(6, 0.01, 0.02)
 
     conf.write_text(
         "problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 4\n"
@@ -302,7 +302,7 @@ def test_build_problem_sigmoid_splits(tmp_path):
     objectives, reg, _n, _prov = build_problem(load_config(conf))
     assert all(isinstance(obj, WithSquaredL2) for obj in objectives)
     assert objectives[0].lam2 == 0.02
-    assert isinstance(reg, L1)
+    assert reg == L1(6, 5e-4)
 
 
 def test_build_problem_subsample_provenance(tmp_path):
@@ -715,6 +715,37 @@ def test_run_reports_an_overflowing_start_at_iteration_0(tmp_path, capsys, scale
     ), captured.err
     assert captured.out == ""
     assert not (tmp_path / "quad.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # The zero start lies outside the box; so does most of a normal draw.
+        "problem.n = 3\ngraph.m = 4\nreg.lo = 0.5\nreg.hi = 1.0\n",
+        "problem.n = 3\ngraph.m = 4\nreg.lo = 0.5\nreg.hi = 1.0\n"
+        "algo.init = gaussian\n",
+        # Means of m = 10 agents on the bound 1e6 + 0.1 round off it by more
+        # than an absolute slack of 1e-12.
+        "problem.n = 3\ngraph.kind = matchings\ngraph.m = 10\n"
+        "reg.lo = 1000000.1\nreg.hi = 2000000\nalgo.max_iter = 20\n",
+    ],
+    ids=["zero-start", "gaussian-start", "far-bound"],
+)
+def test_run_on_a_box_that_excludes_the_start(tmp_path, capsys, text):
+    # F is +inf at an infeasible start, so row 0 reads inf; every later
+    # mean iterate is a mean of prox outputs, inside the box.
+    conf = tmp_path / "box.conf"
+    conf.write_text("problem.kind = quadratic\nreg.kind = box\n" + text)
+    out = tmp_path / "box.csv"
+    assert cli.main(["run", "--config", str(conf), "--output", str(out)]) == 0
+    capsys.readouterr()
+    header, *lines = out.read_text().splitlines()
+    columns = header.split(",")
+    rows = [dict(zip(columns, map(float, line.split(",")))) for line in lines]
+    assert rows[0]["f_avg"] == math.inf
+    for row in rows[1:]:
+        for name, value in row.items():
+            assert math.isfinite(value) or name == "eps", (row["k"], name)
 
 
 @pytest.mark.parametrize("command", ["run", "lipschitz"])

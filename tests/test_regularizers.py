@@ -9,6 +9,7 @@ from proxnet.regularizers import (
     ElasticNet,
     L1,
     ProxCertificate,
+    Regularizer,
     SquaredL2,
     Zero,
     check_inexact_prox,
@@ -107,11 +108,39 @@ def test_prox_matches_1d_oracle() -> None:
         for reg, h in cases:
             want = prox_1d(h, v, alpha, lo, hi)
             got = reg.prox(np.array([v]), alpha)[0]
-            assert got == pytest.approx(want, abs=1e-6), reg.kind
+            assert got == pytest.approx(want, abs=1e-6), repr(reg)
         # Box: minimize the quadratic part over the feasible interval.
         box = Box(1, lo=-0.8, hi=1.2)
         want = golden_section(lambda z: (z - v) ** 2 / (2 * alpha), -0.8, 1.2)
         assert box.prox(np.array([v]), alpha)[0] == pytest.approx(want, abs=1e-6)
+
+
+_PENALTY = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+
+@given(
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    st.floats(0.05, 3.0),
+    _PENALTY,
+    _PENALTY,
+    st.floats(-3.0, 3.0),
+    st.floats(0.05, 3.0),
+    st.sampled_from(["none", "lower", "upper", "both"]),
+)
+def test_prox_of_penalty_and_box_matches_1d_oracle(
+    entries, alpha: float, lam1: float, lam2: float, center, half, sides
+) -> None:
+    # No config builds a penalty on a box, but the class accepts one.  Per
+    # coordinate, search the part of the free minimizer's bracket that
+    # lies in the box; a degenerate part is the bound nearest the bracket.
+    lo = center - half if sides in ("lower", "both") else -math.inf
+    hi = center + half if sides in ("upper", "both") else math.inf
+    reg = Regularizer(len(entries), lam1=lam1, lam2=lam2, lo=lo, hi=hi)
+    got = reg.prox(np.array(entries), alpha)
+    for v, z in zip(entries, got):
+        a, b = np.clip(prox_bracket(v, alpha, lam1, lam2), lo, hi)
+        want = prox_1d(lambda t: lam1 * abs(t) + lam2 * t * t, v, alpha, a, b)
+        assert z == pytest.approx(want, abs=1e-6), repr(reg)
 
 
 def test_prox_nonexpansive() -> None:
@@ -123,7 +152,7 @@ def test_prox_nonexpansive() -> None:
             v = rng.standard_normal(n) * 3
             alpha = float(rng.uniform(0.01, 5.0))
             lhs = np.linalg.norm(reg.prox(u, alpha) - reg.prox(v, alpha))
-            assert lhs <= np.linalg.norm(u - v) + 1e-12, reg.kind
+            assert lhs <= np.linalg.norm(u - v) + 1e-12, repr(reg)
 
 
 def test_prox_subgradient_membership() -> None:
@@ -138,11 +167,11 @@ def test_prox_subgradient_membership() -> None:
             y = reg.prox(v, alpha)
             z = (v - y) / alpha
             u = rng.standard_normal(n) * 2
-            if isinstance(reg, Box) and rng.random() < 0.5:
+            if math.isfinite(reg.lo) and rng.random() < 0.5:
                 u = np.clip(u, reg.lo, reg.hi)
             lhs = float(reg.value(u))
             rhs = float(reg.value(y)) + float(z @ (u - y))
-            assert lhs >= rhs - 1e-10, reg.kind
+            assert lhs >= rhs - 1e-10, repr(reg)
 
 
 def test_subgradient_bounds() -> None:
@@ -155,6 +184,9 @@ def test_subgradient_bounds() -> None:
     assert en.subgradient_bound(radius=10.0) == pytest.approx(0.015545268253204709)
     assert SquaredL2(3, lam2=2.0).subgradient_bound(radius=5.0) == pytest.approx(20.0)
     assert Box(3).subgradient_bound() == math.inf
+    # An unbounded box is h = 0: nothing but its penalties bounds it.
+    assert Box(3, -math.inf, math.inf).subgradient_bound() == 0.0
+    assert Box(3, 0.0, math.inf).subgradient_bound() == math.inf
 
 
 def test_subgradient_bound_requires_radius() -> None:
@@ -169,14 +201,18 @@ def test_subgradient_bound_requires_radius() -> None:
     st.floats(1e-3, 10.0),
     st.floats(0.0, 10.0),
     st.floats(0.0, 10.0),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
 )
 def test_pinned_kinds_match_their_own_formulas_bit_for_bit(
-    entries, alpha: float, lam1: float, lam2: float
+    entries, alpha: float, lam1: float, lam2: float, lo: float, width: float
 ) -> None:
-    # Zero, L1 and SquaredL2 run the elastic-net code with a weight pinned
-    # at zero; each must equal its term-free formula exactly.
+    # Every kind runs the one shrink-rescale-clamp prox with its unused
+    # terms switched off; each must equal its own formula exactly.
     v = np.array(entries)
     n = v.size
+    hi = lo + width
+    assert np.array_equal(Box(n, lo, hi).prox(v, alpha), np.clip(v, lo, hi))
     assert np.array_equal(L1(n, lam1).prox(v, alpha), soft_threshold(v, alpha * lam1))
     assert np.array_equal(
         SquaredL2(n, lam2).prox(v, alpha), v / (1.0 + 2.0 * alpha * lam2)
@@ -211,7 +247,7 @@ def test_check_inexact_prox_accepts_exact() -> None:
         for alpha in (0.03, 0.5, 1.0, 7.0):
             v = rng.standard_normal(4) * 2
             cert = check_inexact_prox(reg, reg.prox(v, alpha), v, alpha, 0.0)
-            assert cert == ProxCertificate(accepted=True, excess=0.0), reg.kind
+            assert cert == ProxCertificate(accepted=True, excess=0.0), repr(reg)
 
 
 def test_check_inexact_prox_gap_threshold() -> None:
@@ -239,12 +275,14 @@ def test_check_inexact_prox_infeasible_candidate() -> None:
 
 
 def test_make_regularizer() -> None:
-    assert isinstance(make_regularizer("zero", 3), Zero)
-    reg = make_regularizer("elastic-net", 5, lam1=0.1, lam2=0.2)
-    assert isinstance(reg, ElasticNet)
-    assert reg.lam1 == 0.1 and reg.lam2 == 0.2
-    box = make_regularizer("box", 2, lo=-2.0, hi=3.0)
-    assert isinstance(box, Box)
+    # Each kind keeps only its own terms of the penalties and box it is given.
+    terms = dict(lam1=0.1, lam2=0.2, lo=-2.0, hi=3.0)
+    assert make_regularizer("zero", 3, **terms) == Regularizer(3)
+    assert make_regularizer("l1", 2, **terms) == Regularizer(2, lam1=0.1)
+    assert make_regularizer("squared-l2", 2, **terms) == Regularizer(2, lam2=0.2)
+    reg = make_regularizer("elastic-net", 5, **terms)
+    assert reg == Regularizer(5, lam1=0.1, lam2=0.2)
+    assert make_regularizer("box", 2, **terms) == Regularizer(2, lo=-2.0, hi=3.0)
     with pytest.raises(ValueError):
         make_regularizer("huber", 3)
 
@@ -262,3 +300,11 @@ def test_box_value_uses_slack() -> None:
     reg = Box(2, lo=-1.0, hi=1.0)
     assert reg.value(np.array([1.0 + 5e-13, -1.0])) == 0.0
     assert reg.value(np.array([1.1, 0.0])) == math.inf
+    # The slack scales with a bound past 1: an ulp of 1e6 is 1.2e-10.
+    far = Box(1, lo=1e6, hi=2e6)
+    assert far.value(np.array([1e6 - 1e-7])) == 0.0
+    assert far.value(np.array([1e6 - 1e-5])) == math.inf
+    # Penalties are +inf off the box and their sum on it.
+    both = Regularizer(2, lam1=0.5, lam2=2.0, lo=0.0)
+    assert both.value(np.array([1.0, 2.0])) == 0.5 * 3.0 + 2.0 * 5.0
+    assert both.value(np.array([1.0, -2.0])) == math.inf

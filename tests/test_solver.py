@@ -11,7 +11,7 @@ from proxnet.graphs import (
 )
 from proxnet.objectives import Dataset, Quadratic, SigmoidLoss, quadratic_family
 from proxnet.objectives import shard, synthetic_classification
-from proxnet.regularizers import Box, L1, Zero
+from proxnet.regularizers import Box, L1, Regularizer, Zero
 from proxnet.solver import (
     NumericalFault,
     RunSetup,
@@ -337,10 +337,11 @@ def test_run_numerical_fault_carries_iteration() -> None:
     assert info.value.agent == 0
 
 
-def test_run_faults_on_a_non_finite_start_or_trace_row() -> None:
+def test_run_faults_on_a_non_finite_start_or_trace_row(monkeypatch) -> None:
     # A non-finite start is a fault at iteration 0 before any row is made.
     # A finite start of 1e200 squares past the float range in f_avg, so
     # row 0 is a fault too; no numpy overflow warning escapes either.
+    # h = inf is F = inf only at the start: on a later row it is a fault.
     setup = RunSetup(
         objectives=[Quadratic(np.eye(2), np.zeros(2))] * 2,
         regularizer=Zero(2),
@@ -356,6 +357,26 @@ def test_run_faults_on_a_non_finite_start_or_trace_row() -> None:
     with pytest.raises(NumericalFault, match="non-finite trace column f_avg") as info:
         run(setup)
     assert info.value.iteration == 0
+    setup.init = np.zeros((2, 2))
+    monkeypatch.setattr(Regularizer, "value", lambda self, x: np.inf)
+    with pytest.raises(NumericalFault, match="non-finite trace column f_avg") as info:
+        run(setup)
+    assert info.value.iteration == 1
+
+
+def test_run_keeps_a_mean_on_a_far_box_bound_feasible() -> None:
+    # Every agent sits on the bound 1e6 + 0.1, and the mean of ten copies
+    # rounds off it by more than 1e-12; the box slack scales with the bound.
+    objectives = quadratic_family(10, 3, 0)
+    setup = _setup(
+        objectives,
+        Box(3, lo=1e6 + 0.1, hi=2e6),
+        ring_matchings_schedule(10),
+        20,
+        np.full((10, 3), 1e6 + 1.1),
+    )
+    trace = run(setup)
+    assert all(np.isfinite(row.f_avg) for row in trace.rows)
 
 
 def test_run_mean_tracking_identity() -> None:
