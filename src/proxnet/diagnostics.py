@@ -2,9 +2,12 @@
 
 These are omniscient-observer quantities: they read the full network
 state, which is fine in simulation and deliberately not part of the
-distributed protocol.  Everything here is a pure function of snapshots;
-nothing feeds back into the iteration.  The solver makes every row with one
-builder outside its loop; row 0 has no step, so no e, eps or envelope work.
+distributed protocol.  Nothing here feeds back into the iteration.
+
+Certificates is the one row builder: it fixes a run's certificate
+constants once, and its row() makes every trace row.  The one fault raised
+here is NumericalFault, for a trace column that is not finite; the solver
+raises the same class for a non-finite iterate.
 """
 
 from __future__ import annotations
@@ -14,18 +17,39 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .graphs import geometric_constants, slots_before
+
+
+class NumericalFault(RuntimeError):
+    """Non-finite value produced during an iteration."""
+
+    def __init__(self, message: str, iteration: int, agent: int | None = None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.agent = agent
+
 
 @dataclass(frozen=True)
 class IterationMetrics:
     """One trace row; the field order is the CSV column order.
 
-    eps is None when the prox-inexactness certificate is unavailable,
-    either because the regularizer has unbounded subgradients or because
-    the averaged iterate left the ball on which the bound was declared.
-    f_avg is +inf on row 0 when the start lies outside the domain of h,
-    and finite on every later row.  rate_T_times_stat is the running sum
-    of squared mean-iterate moves, which is T times their mean over the
-    first T iterations, the rate statistic.
+    With x_bar and v_bar the means of the iterates and of the mixed points
+    of step k, z = prox_{alpha h}(v_bar), s = ||x_bar - z||, and G_h the
+    bound on h's subgradients over the ball of radius ten times the
+    largest initial row norm, at least 10, the prox inexactness is
+
+        eps = s (G_h + ||z - v_bar|| / alpha) + s^2 / (2 alpha),
+
+    0 on row 0, and None (nan in the CSV) when G_h is infinite or x_bar or
+    z lies outside the ball.  The stationarity residual of x_bar is at most
+
+        residual_bound = (1/alpha + L) dx_norm + e_norm + sqrt(2 eps / alpha),
+
+    summed in that order; without eps the last term is dropped and the
+    bound is partial.  f_avg is +inf on row 0 when the start lies outside
+    the domain of h, and finite on every later row.  rate_T_times_stat is
+    the running sum of squared mean-iterate moves, T times their mean over
+    the first T iterations, the rate statistic.
     """
 
     k: int
@@ -54,28 +78,6 @@ def gradient_averaging_error(x_all: np.ndarray, objectives) -> np.ndarray:
     return total / len(objectives)
 
 
-def prox_inexactness(
-    x_bar_next: np.ndarray,
-    v_bar_next: np.ndarray,
-    z_next: np.ndarray,
-    alpha: float,
-    g_h: float,
-) -> float:
-    """Certified prox accuracy of the averaged iterate.
-
-    z_next must be the exact prox of v_bar_next.  The certificate is
-    s (G_h + ||z - v_bar|| / alpha) + s^2 / (2 alpha) with
-    s = ||x_bar - z||, and it requires a finite subgradient bound.
-    """
-    if not math.isfinite(g_h):
-        raise ValueError("prox inexactness needs a finite subgradient bound")
-    if not alpha > 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
-    s = float(np.linalg.norm(np.asarray(x_bar_next) - np.asarray(z_next)))
-    pull = float(np.linalg.norm(np.asarray(z_next) - np.asarray(v_bar_next)))
-    return s * (g_h + pull / alpha) + s * s / (2.0 * alpha)
-
-
 def disagreement(x_all: np.ndarray, weights: np.ndarray) -> float:
     """Network disagreement sum_i <x_i, sum_j a_ij (x_i - x_j)>.
 
@@ -89,27 +91,6 @@ def disagreement(x_all: np.ndarray, weights: np.ndarray) -> float:
     y = x_all - x_all.mean(axis=0)
     pull = weights.sum(axis=1)[:, None] * y - weights @ y
     return float(np.sum(y * pull))
-
-
-def stationarity_bound(
-    dx_norm: float,
-    eps: float | None,
-    e_norm: float,
-    alpha: float,
-    lipschitz: float,
-) -> float:
-    """Upper bound on the stationarity residual of the averaged iterate.
-
-    (1/alpha + L) ||dx|| + sqrt(2 eps / alpha) + ||e||.  Without a usable
-    eps (None) the middle term is dropped and the bound is partial (still a
-    valid lower estimate of itself, no longer certified complete).
-    """
-    if not alpha > 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
-    bound = (1.0 / alpha + lipschitz) * dx_norm + e_norm
-    if eps is not None:
-        bound += math.sqrt(2.0 * eps / alpha)
-    return bound
 
 
 def geometric_envelope(geo, k: int, q_all: np.ndarray) -> float:
@@ -129,6 +110,78 @@ def geometric_envelope(geo, k: int, q_all: np.ndarray) -> float:
     q_all = np.asarray(q_all, dtype=float)
     total = float(np.linalg.norm(q_all, axis=1).sum())
     return 2.0 * geo.Gamma * geo.gamma**k * total
+
+
+class Certificates:
+    """A run's certificate constants, fixed at the start; row() makes rows.
+
+    The constants are the ball radius and G_h of IterationMetrics, and the
+    schedule's geometric constants (None for one agent).  alpha must be
+    positive, which solver.run checks before the first row.
+    """
+
+    def __init__(self, objectives, reg, schedule, alpha, lipschitz, init):
+        self.objectives, self.reg, self.schedule = objectives, reg, schedule
+        self.alpha, self.lipschitz = alpha, lipschitz
+        self.radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(init, axis=1))))
+        self.g_h = reg.subgradient_bound(self.radius)
+        m = init.shape[0]
+        self.geo = geometric_constants(m, schedule.B, schedule.eta) if m >= 2 else None
+
+    def row(self, k, x, x_next, q=None, v=None, prev=None) -> IterationMetrics:
+        """Trace row k from the iterates x before and x_next after step k.
+
+        Row 0 is row(0, init, init) with no q, v or previous row: e, the
+        envelope and eps (when G_h is finite) read 0, and dx, the residual
+        and the rate come out 0.0 from the general formulas.
+        """
+        x_bar = x_next.mean(axis=0)
+        dx = float(np.linalg.norm(x_bar - x.mean(axis=0)))
+        rate = (0.0 if prev is None else prev.rate_T_times_stat) + dx * dx
+        e_norm, geo_bound, eps = 0.0, 0.0, 0.0 if math.isfinite(self.g_h) else None
+        if q is not None:
+            e_norm = float(np.linalg.norm(gradient_averaging_error(x, self.objectives)))
+            geo_bound = geometric_envelope(self.geo, k, q)
+        if q is not None and eps is not None:
+            v_bar = v.mean(axis=0)
+            z = self.reg.prox(v_bar, self.alpha)
+            s = float(np.linalg.norm(x_bar - z))
+            pull = float(np.linalg.norm(z - v_bar))
+            eps = s * (self.g_h + pull / self.alpha) + s * s / (2.0 * self.alpha)
+            if max(np.linalg.norm(x_bar), np.linalg.norm(z)) > self.radius:
+                eps = None
+        residual = (1.0 / self.alpha + self.lipschitz) * dx + e_norm
+        if eps is not None:
+            residual += math.sqrt(2.0 * eps / self.alpha)
+        comm = slots_before(k + 1)
+        smooth = np.mean([obj.value(x_bar) for obj in self.objectives])
+        h = self.reg.value(x_bar)
+        row = IterationMetrics(
+            k=k,
+            comm_cumulative=comm,
+            f_avg=float(smooth + h),
+            D=disagreement(x_next, self.schedule.matrix(max(comm - 1, 0))),
+            dx_norm=dx,
+            e_norm=e_norm,
+            eps=eps,
+            residual_bound=residual,
+            max_consensus_gap=float(np.max(np.linalg.norm(x_next - x_bar, axis=1))),
+            geo_bound=geo_bound,
+            rate_T_times_stat=rate,
+        )
+        # eps is None when unavailable, and geo_bound reads inf once the
+        # envelope passes the float range.  f_avg is F = inf at a start
+        # outside the domain of h; every later x_bar is a mean of prox
+        # outputs, inside it.  Every other column is finite.
+        may_be_inf = {"geo_bound"}
+        if k == 0 and math.isfinite(smooth) and h == math.inf:
+            may_be_inf.add("f_avg")
+        for name, value in vars(row).items():
+            if value is None or (name in may_be_inf and value == math.inf):
+                continue
+            if not math.isfinite(value):
+                raise NumericalFault(f"non-finite trace column {name}", iteration=k)
+        return row
 
 
 def _format(value) -> str:

@@ -31,11 +31,12 @@ last one; its Metropolis slots are valid by construction, which the tests
 check instead.
 
 The convergence analysis assumes that every B consecutive slots connect
-all agents and that every positive weight is at least a floor eta.
-:func:`validate_schedule` checks the first over one period of a periodic
-schedule's windows; a random schedule is connected by construction (see
-RandomSchedule).  The floor is derived from the matrices, so it holds by
-construction (see validate_schedule).
+all agents and that every self-weight w_ii and every other positive
+weight is at least a floor eta.  :func:`validate_schedule` checks the
+first over one period of a periodic schedule's windows; a random schedule
+is connected by construction (see RandomSchedule).  The weight check
+requires every w_ii > 0 and eta is derived from the matrices, so the
+floor holds by construction (see validate_schedule).
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ def slots_before(k: int) -> int:
 
 
 def _check_weights(w: np.ndarray) -> None:
-    """Raise ValueError unless w is a symmetric doubly stochastic matrix."""
+    """Raise ValueError unless w is symmetric, doubly stochastic and gives
+    every agent a positive self-weight, as the envelope's constants assume
+    (Nedic & Ozdaglar 2009): a swap of agents never reaches consensus."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
     if w.shape[0] < 1:
@@ -76,6 +79,13 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValueError(
             f"weight matrix is not doubly stochastic (row error {row_err:.3e}, "
             f"column error {col_err:.3e})"
+        )
+    unweighted = np.flatnonzero(~(np.diag(w) > 0))
+    if unweighted.size:
+        i = unweighted[0]
+        raise ValueError(
+            f"weight matrix gives agent {i} the self-weight {float(w[i, i])!r}; "
+            "every self-weight must be positive"
         )
 
 
@@ -349,18 +359,18 @@ def _connected(union: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def validate_schedule(schedule: Schedule, horizon: int) -> None:
-    """Check window connectivity over the slots [0, horizon).
+def validate_schedule(schedule: Schedule) -> None:
+    """Check that every window of B consecutive slots connects all agents.
 
-    Every window of B consecutive slots inside the horizon must connect all
-    agents, and the horizon must hold at least one window.  A periodic
-    schedule repeats its windows, so only the first min(horizon - B + 1,
-    period) window starts are examined.  A window of B >= period slots
+    A periodic schedule repeats its windows, so the window starting at
+    each slot of one period is examined.  A window of B >= period slots
     holds every slot of the period, so its first min(B, period) slots
     connect what it connects.  At most 2 period - 1 slots are read,
-    whatever the horizon and B.  Raises DisconnectedSchedule at the first
-    window that fails.  A schedule without a period, a random one, is not
-    read: it is connected by construction (see RandomSchedule).
+    whatever B.  Raises DisconnectedSchedule at the first window that
+    fails, even one that a short run never reads: the analysis assumes
+    every window of the schedule connects.  A schedule without a period,
+    a random one, is not read: it is connected by construction (see
+    RandomSchedule).
 
     Nothing else needs a check here.  A periodic schedule checked its
     read-only matrices' weights when it was built, and a random schedule's
@@ -369,16 +379,11 @@ def validate_schedule(schedule: Schedule, horizon: int) -> None:
     and 1/m for the Metropolis slots of a random schedule.
     """
     B = schedule.B
-    if horizon < B:
-        raise ValueError(
-            f"horizon {horizon} is shorter than the connectivity window B={B}"
-        )
     if schedule.period is None:
         return
-    starts = min(horizon - B + 1, schedule.period)
     width = min(B, schedule.period)
     window: deque[np.ndarray] = deque(maxlen=width)
-    for t in range(starts + width - 1):
+    for t in range(schedule.period + width - 1):
         window.append(schedule.matrix(t) > 0)
         if len(window) == width and not _connected(np.logical_or.reduce(window)):
             raise DisconnectedSchedule(

@@ -1,4 +1,4 @@
-"""The distributed proximal gradient iteration.
+"""The distributed proximal gradient iteration, and only the iteration.
 
 Each agent takes a local gradient step, the network mixes the results
 with the effective weights of the iteration (k gossip slots at iteration
@@ -7,9 +7,8 @@ is constant and must stay strictly below 1/L, where L is the worst local
 gradient Lipschitz constant.
 
 gradient_step moves every agent in one call: one grad per agent, then one
-array update.  run() is only the iteration loop; one private row builder
-makes every trace row from the iterates before and after a step.  Row 0
-is the step from init to init, with no q, v or previous row.
+array update.  run() checks its inputs, builds one diagnostics.Certificates
+and loops; every trace row and certificate constant lives there.
 """
 
 from __future__ import annotations
@@ -19,29 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diagnostics
-from .graphs import (
-    GeometricConstants,
-    Schedule,
-    consensus_weights,
-    geometric_constants,
-    slots_before,
-    validate_schedule,
-)
+from .diagnostics import Certificates, NumericalFault
+from .graphs import Schedule, consensus_weights, validate_schedule
 from .regularizers import Regularizer
 
 
 class StepSizeError(ValueError):
     """Step size violates the strict alpha < 1/L requirement."""
-
-
-class NumericalFault(RuntimeError):
-    """Non-finite value produced during an iteration."""
-
-    def __init__(self, message: str, iteration: int, agent: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.agent = agent
 
 
 def gradient_step(x_all: np.ndarray, objectives, alpha: float, k: int) -> np.ndarray:
@@ -157,82 +140,6 @@ class RunTrace:
     stopped_early: bool = False
 
 
-@dataclass(frozen=True)
-class _Observer:
-    """The fixed inputs of a run's certificates; row() makes every trace row."""
-
-    objectives: list
-    reg: Regularizer
-    schedule: Schedule
-    alpha: float
-    lipschitz: float
-    geo: GeometricConstants | None
-    radius: float
-    g_h: float
-
-    def row(self, k, x, x_next, q=None, v=None, prev=None):
-        """Trace row k from the iterates x before and x_next after step k.
-
-        Row 0 is row(0, init, init) with no q, v or previous row: e, the
-        envelope and eps (when supported) read 0, and dx, the residual and
-        the rate come out 0.0 from the general formulas.
-        """
-        x_bar = x_next.mean(axis=0)
-        dx = float(np.linalg.norm(x_bar - x.mean(axis=0)))
-        rate = (0.0 if prev is None else prev.rate_T_times_stat) + dx * dx
-        e_norm, geo_bound, eps = 0.0, 0.0, 0.0 if np.isfinite(self.g_h) else None
-        if q is not None:
-            e_vec = diagnostics.gradient_averaging_error(x, self.objectives)
-            e_norm = float(np.linalg.norm(e_vec))
-            geo_bound = diagnostics.geometric_envelope(self.geo, k, q)
-            v_bar = v.mean(axis=0)
-            z = self.reg.prox(v_bar, self.alpha)
-            in_ball = (
-                float(np.linalg.norm(x_bar)) <= self.radius
-                and float(np.linalg.norm(z)) <= self.radius
-            )
-            eps = (
-                diagnostics.prox_inexactness(x_bar, v_bar, z, self.alpha, self.g_h)
-                if eps is not None and in_ball
-                else None
-            )
-        comm = slots_before(k + 1)
-        smooth = np.mean([obj.value(x_bar) for obj in self.objectives])
-        h = self.reg.value(x_bar)
-        row = diagnostics.IterationMetrics(
-            k=k,
-            comm_cumulative=comm,
-            f_avg=float(smooth + h),
-            D=diagnostics.disagreement(
-                x_next, self.schedule.matrix(max(comm - 1, 0))
-            ),
-            dx_norm=dx,
-            e_norm=e_norm,
-            eps=eps,
-            residual_bound=diagnostics.stationarity_bound(
-                dx, eps, e_norm, self.alpha, self.lipschitz
-            ),
-            max_consensus_gap=float(
-                np.max(np.linalg.norm(x_next - x_bar, axis=1))
-            ),
-            geo_bound=geo_bound,
-            rate_T_times_stat=rate,
-        )
-        # eps is None when unavailable, and geo_bound reads inf once the
-        # envelope passes the float range.  f_avg is F = inf at a start
-        # outside the domain of h; every later x_bar is a mean of prox
-        # outputs, inside it.  Every other column is finite.
-        may_be_inf = {"geo_bound"}
-        if k == 0 and math.isfinite(smooth) and h == math.inf:
-            may_be_inf.add("f_avg")
-        for name, value in vars(row).items():
-            if value is None or (name in may_be_inf and value == math.inf):
-                continue
-            if not math.isfinite(value):
-                raise NumericalFault(f"non-finite trace column {name}", iteration=k)
-        return row
-
-
 @np.errstate(all="ignore")
 def run(setup: RunSetup) -> RunTrace:
     """Execute the iteration loop, one certificate row per iteration.
@@ -265,24 +172,21 @@ def run(setup: RunSetup) -> RunTrace:
         raise StepSizeError(
             f"step size {alpha} violates alpha < 1/L = {1.0 / lipschitz}"
         )
-    if lipschitz == 0 and alpha <= 0:
+    if lipschitz == 0 and not alpha > 0:
         raise StepSizeError(f"step size must be positive, got {alpha}")
-    validate_schedule(schedule, max(slots_before(setup.max_iter + 1), schedule.B))
+    validate_schedule(schedule)
 
     _check_finite(init, 0, "initial point")
-    # Subgradient bounds are declared on the iterate-norm ball of ten times
-    # the largest initial row norm, at least 10.
-    radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(init, axis=1))))
-    geo = geometric_constants(m, schedule.B, schedule.eta) if m >= 2 else None
-    g_h = reg.subgradient_bound(radius)
-    observer = _Observer(objectives, reg, schedule, alpha, lipschitz, geo, radius, g_h)
+    certificates = Certificates(objectives, reg, schedule, alpha, lipschitz, init)
     x = init.copy()
     trace = RunTrace(alpha=alpha, lipschitz=lipschitz)
     trace.snapshots[0] = IterationSnapshot(k=0, x=x.copy(), q=None, v=None)
-    trace.rows.append(observer.row(0, x, x))
+    trace.rows.append(certificates.row(0, x, x))
     for k in range(1, setup.max_iter + 1):
         x_next, q_all, v_all = iterate(x, objectives, schedule, reg, alpha, k)
-        trace.rows.append(observer.row(k, x, x_next, q_all, v_all, trace.rows[-1]))
+        trace.rows.append(
+            certificates.row(k, x, x_next, q_all, v_all, trace.rows[-1])
+        )
         if k % setup.snapshot_every == 0:
             trace.snapshots[k] = IterationSnapshot(
                 k=k, x=x_next.copy(), q=q_all.copy(), v=v_all.copy()

@@ -13,11 +13,14 @@ row indices counted out one shard at a time, an iteration's mixing
 matrix multiplied out from scratch, and the sigmoid with a sum and a
 quotient of its own in each branch.
 trace_rows assembles every trace row from a run's snapshots, row 0 and the
-later rows written out separately; it calls the package's certificate
-functions, which have their own tests.
+later rows written out separately.  It writes eps and residual_bound out
+from the formulas of the IterationMetrics docstring, and calls the
+package's e, D and envelope functions, which have their own tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -230,13 +233,18 @@ def trace_rows(setup, trace) -> list:
         v_bar = snap.v.mean(axis=0)
         z = reg.prox(v_bar, alpha)
         in_ball = np.linalg.norm(x_bar) <= radius and np.linalg.norm(z) <= radius
-        eps = (
-            diagnostics.prox_inexactness(x_bar, v_bar, z, alpha, g_h)
-            if eps_supported and in_ball
-            else None
-        )
+        eps = None
+        if eps_supported and in_ball:
+            # eps = s (G_h + ||z - v_bar|| / alpha) + s^2 / (2 alpha).
+            s = float(np.linalg.norm(x_bar - z))
+            eps = s * (g_h + float(np.linalg.norm(z - v_bar)) / alpha)
+            eps += s * s / (2.0 * alpha)
         dx = float(np.linalg.norm(x_bar - x_bar_prev))
         rate += dx * dx
+        # (1/alpha + L) dx_norm + e_norm + sqrt(2 eps / alpha), in that order.
+        residual = (1.0 / alpha + lipschitz) * dx + e_norm
+        if eps is not None:
+            residual += math.sqrt(2.0 * eps / alpha)
         rows.append(
             diagnostics.IterationMetrics(
                 k=k,
@@ -246,9 +254,7 @@ def trace_rows(setup, trace) -> list:
                 dx_norm=dx,
                 e_norm=e_norm,
                 eps=eps,
-                residual_bound=diagnostics.stationarity_bound(
-                    dx, eps, e_norm, alpha, lipschitz
-                ),
+                residual_bound=residual,
                 max_consensus_gap=float(
                     np.max(np.linalg.norm(snap.x - x_bar, axis=1))
                 ),

@@ -442,6 +442,29 @@ def test_an_overflowing_data_file_is_a_config_error(tmp_path, capsys, command, e
     assert not (tmp_path / "big.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("run", ""), ("run", "algo.alpha = 0.1\n"), ("lipschitz", "")]
+)
+def test_a_ridge_that_overflows_L_blames_lambda2(tmp_path, capsys, command, extra):
+    # The data's own L is finite; 2 lambda2 = 2e308 added to it is not.
+    data = Path(__file__).parents[1] / "data" / "synthetic.libsvm"
+    conf = tmp_path / "ridge.conf"
+    conf.write_text(
+        f"problem.kind = sigmoid\ndata.path = {data}\n"
+        "problem.reg_split = g-carries-l2\nproblem.lambda2 = 1e308\n"
+        f"reg.kind = l1\noutput.trace = {tmp_path / 'never.csv'}\n" + extra
+    )
+    assert cli.main([command, "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: problem.lambda2 = 1e+308 in the smooth part "
+        "(problem.reg_split = g-carries-l2) gives the non-finite Lipschitz "
+        "constant L = inf\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_build_problem_sigmoid_needs_data():
     with pytest.raises(ConfigError, match="data.path"):
         build_problem(parse_config("problem.kind = sigmoid\n"))
@@ -831,7 +854,8 @@ def test_validate_graph_accepts_a_random_config(tmp_path, capsys):
     conf = tmp_path / "random.conf"
     conf.write_text("graph.kind = random\ngraph.m = 6\ngraph.B = 3\n")
     assert cli.main(["validate-graph", "--config", str(conf)]) == 0
-    assert "valid over 50 slots" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out == "valid: every window of B=3 slots connects all agents\n"
 
 
 def test_run_random_schedule_passes_validation(tmp_path, capsys):
@@ -847,12 +871,49 @@ def test_run_random_schedule_passes_validation(tmp_path, capsys):
     assert "iterations 90" in capsys.readouterr().out
 
 
-def test_validate_graph_horizon_flag(tmp_path, capsys):
-    conf = tmp_path / "ring.conf"
-    conf.write_text("graph.kind = ring\ngraph.m = 5\n")
-    assert cli.main(["validate-graph", "--config", str(conf), "--horizon", "0"]) == 2
-    capsys.readouterr()
-    assert cli.main(["validate-graph", "--config", str(conf), "--horizon", "3"]) == 0
+def test_a_bad_window_is_rejected_before_a_short_run_reaches_it(tmp_path, capsys):
+    # Slots cycle a, b, a with B = 2: only the window (2, 0), which crosses
+    # the end of the period, misses the edge (1, 2).  One iteration reads
+    # slot 0 alone, but the schedule is judged whole.
+    a = "0.5 0.5 0\n0.5 0.5 0\n0 0 1\n"
+    b = "1 0 0\n0 0.5 0.5\n0 0.5 0.5\n"
+    matrix = tmp_path / "wrap.txt"
+    matrix.write_text("\n".join([a, b, a]))
+    conf = tmp_path / "wrap.conf"
+    conf.write_text(
+        f"graph.kind = file\ngraph.m = 3\ngraph.B = 2\ngraph.path = {matrix}\n"
+        f"algo.max_iter = 1\noutput.trace = {tmp_path / 'never.csv'}\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schedule error: ") and "starting at slot 2 " in err
+    assert not (tmp_path / "never.csv").exists()
+    assert cli.main(["validate-graph", "--config", str(conf)]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "validate-graph"])
+@pytest.mark.parametrize(
+    "rows", [["0 .5 0 .5", ".5 0 .5 0", "0 .5 0 .5", ".5 0 .5 0"], ["0 1", "1 0"]]
+)
+def test_a_slot_without_self_weights_is_a_config_error(tmp_path, capsys, command, rows):
+    # Both matrices are symmetric and doubly stochastic with eigenvalue -1:
+    # the agents never agree, and the envelope's constants assume w_ii > 0.
+    matrix = tmp_path / "swap.txt"
+    matrix.write_text("\n".join(rows) + "\n")
+    conf = tmp_path / "swap.conf"
+    conf.write_text(
+        "problem.kind = quadratic\nproblem.n = 3\ngraph.kind = file\n"
+        f"graph.m = {len(rows)}\ngraph.path = {matrix}\nalgo.init = gaussian\n"
+        f"algo.max_iter = 250\noutput.trace = {tmp_path / 'never.csv'}\n"
+    )
+    assert cli.main([command, "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: bad graph file: weight matrix gives agent 0 the "
+        "self-weight 0.0; every self-weight must be positive\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "never.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["zero", "l1", "squared-l2", "elastic-net", "box"])

@@ -6,18 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from proxnet.diagnostics import (
     TRACE_COLUMNS,
+    Certificates,
     IterationMetrics,
     csv_line,
     disagreement,
     geometric_envelope,
     gradient_averaging_error,
-    prox_inexactness,
-    stationarity_bound,
     write_trace_csv,
 )
-from proxnet.graphs import geometric_constants
+from proxnet.graphs import complete_schedule, geometric_constants
 from proxnet.objectives import Quadratic
-from proxnet.regularizers import check_inexact_prox
+from proxnet.regularizers import L1, Box, Zero, check_inexact_prox
 
 from fixtures import matchings_run
 
@@ -51,28 +50,54 @@ def test_gradient_error_9a_bound_along_run() -> None:
         assert e_norm <= lipschitz / 10 * spread + 1e-10
 
 
+def _step_row(curvatures, reg, alpha, lipschitz, x, x_next, v):
+    """Row 1 of a builder started at x, for the step from x to x_next
+    whose mixed points are v; agent i has g_i(x) = curvatures[i] x^2 / 2."""
+    objectives = [Quadratic(np.array([[c]]), np.zeros(1)) for c in curvatures]
+    schedule = complete_schedule(len(curvatures))
+    certificates = Certificates(objectives, reg, schedule, alpha, lipschitz, x)
+    assert certificates.row(0, x, x).residual_bound == 0.0
+    return certificates.row(1, x, x_next, q=x, v=v)
+
+
 def test_prox_inexactness_zero_when_exact() -> None:
-    z = np.array([1.0, 2.0])
-    assert prox_inexactness(z, z + 0.3, z, alpha=0.5, g_h=2.0) == pytest.approx(0.0)
+    # A step to x = 0, the exact prox of v = 0.05 under L1 with lam1 = 2
+    # and alpha = 0.5, has eps = 0.
+    x, v = np.array([[0.1]]), np.array([[0.05]])
+    row = _step_row([1.0], L1(1, lam1=2.0), 0.5, 1.0, x, np.zeros((1, 1)), v)
+    assert row.eps == 0.0
 
 
 def test_prox_inexactness_frozen_example() -> None:
-    # s = 0.1, G_h = 2, ||z - v|| = 0.05, alpha = 0.5:
-    # 0.1 * (2 + 0.05/0.5) + 0.01/(2*0.5) = 0.22.
-    x_bar = np.array([0.1])
-    z = np.array([0.0])
-    v_bar = np.array([0.05])
-    assert prox_inexactness(x_bar, v_bar, z, alpha=0.5, g_h=2.0) == pytest.approx(
-        0.22
-    )
+    # One agent, L1 with lam1 = 2, so G_h = 2; alpha = 0.5 and v = 0.05,
+    # so z = prox(v) = 0.  At x = 0.1: s = 0.1, ||z - v|| = 0.05 and
+    # eps = 0.1 * (2 + 0.05/0.5) + 0.01/(2*0.5) = 0.22.
+    x, v = np.array([[0.1]]), np.array([[0.05]])
+    row = _step_row([1.0], L1(1, lam1=2.0), 0.5, 1.0, x, x, v)
+    assert row.eps == pytest.approx(0.22)
+    assert row.residual_bound == pytest.approx(math.sqrt(2 * 0.22 / 0.5))
 
 
-def test_prox_inexactness_rejects_unbounded() -> None:
-    z = np.zeros(1)
-    with pytest.raises(ValueError):
-        prox_inexactness(z, z, z, alpha=0.5, g_h=math.inf)
-    with pytest.raises(ValueError):
-        prox_inexactness(z, z, z, alpha=0.0, g_h=1.0)
+def test_stationarity_bound_examples() -> None:
+    # The eps term contributes sqrt(2 eps / alpha): lam1 = 0.1, alpha = 1
+    # and x = 0.1, v = 0.05 give eps = 0.1 * (0.1 + 0.05) + 0.01/2 = 0.02,
+    # and with dx = e = 0 the bound is sqrt(0.04) = 0.2.
+    x, v = np.array([[0.1]]), np.array([[0.05]])
+    row = _step_row([1.0], L1(1, lam1=0.1), 1.0, 1.0, x, x, v)
+    assert row.eps == pytest.approx(0.02)
+    assert row.residual_bound == pytest.approx(0.2)
+    # Curvatures 3 and 1 at x = (0.002, -0.002) give e = (0.006 - 0.002)/2
+    # = 0.002; the agents then agree at 0.01, so dx = 0.01, and h = 0
+    # makes the prox exact, eps = 0: (1/0.1 + 1) 0.01 + 0.002 = 0.112.
+    x = np.array([[0.002], [-0.002]])
+    x_next = np.full((2, 1), 0.01)
+    row = _step_row([3.0, 1.0], Zero(1), 0.1, 1.0, x, x_next, x_next)
+    assert (row.dx_norm, row.e_norm, row.eps) == pytest.approx((0.01, 0.002, 0.0))
+    assert row.residual_bound == pytest.approx(0.112)
+    # A box has no finite G_h: no eps, and the partial bound drops its term.
+    row = _step_row([3.0, 1.0], Box(1, -1.0, 1.0), 0.1, 1.0, x, x_next, x_next)
+    assert row.eps is None
+    assert row.residual_bound == pytest.approx(0.112)
 
 
 def test_eps_9b_bound_along_run() -> None:
@@ -141,21 +166,6 @@ def test_disagreement_matches_pairwise_form(m, n, seed, near_consensus) -> None:
     got = disagreement(x, w)
     assert got == pytest.approx(pairwise, rel=1e-6, abs=1e-300)
     assert got >= -1e-10
-
-
-def test_stationarity_bound_examples() -> None:
-    assert stationarity_bound(0.0, 0.0, 0.0, alpha=0.1, lipschitz=1.0) == 0.0
-    assert stationarity_bound(
-        0.01, 0.0, 0.002, alpha=0.1, lipschitz=1.0
-    ) == pytest.approx(0.112)
-    # eps term contributes sqrt(2 eps / alpha).
-    assert stationarity_bound(
-        0.0, 0.02, 0.0, alpha=1.0, lipschitz=1.0
-    ) == pytest.approx(0.2)
-    # Partial bound drops the eps term.
-    assert stationarity_bound(
-        0.01, None, 0.002, alpha=0.1, lipschitz=1.0
-    ) == pytest.approx(0.112)
 
 
 def test_stationarity_bound_dominates_gradient_norm_when_smooth() -> None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,23 @@ def test_run_rejects_large_step() -> None:
             init=np.zeros((2, 2)),
         )
         with pytest.raises(StepSizeError):
+            run(setup)
+
+
+def test_run_rejects_a_step_that_is_not_positive_at_zero_curvature() -> None:
+    # At L = 0 any positive step is allowed; 0 and nan are step-size errors
+    # before row 0 is built.
+    objectives = [Quadratic(np.zeros((2, 2)), np.zeros(2)) for _ in range(2)]
+    for alpha in (0.0, math.nan):
+        setup = RunSetup(
+            objectives=objectives,
+            regularizer=Zero(2),
+            schedule=complete_schedule(2),
+            alpha=alpha,
+            max_iter=5,
+            init=np.zeros((2, 2)),
+        )
+        with pytest.raises(StepSizeError, match="step size must be positive"):
             run(setup)
 
 
