@@ -203,10 +203,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("graph.kind = file requires graph.path")
     if cfg.problem_kind == "sigmoid" and cfg.data_path is None:
         raise ConfigError("problem.kind = sigmoid requires data.path")
-    if (
-        cfg.problem_kind == "sigmoid"
-        and cfg.problem_reg_split == "g-carries-l2"
-        and cfg.reg_kind in ("elastic-net", "squared-l2")
+    if cfg.problem_reg_split == "g-carries-l2" and cfg.reg_kind in (
+        "elastic-net",
+        "squared-l2",
     ):
         raise ConfigError(
             f"reg.kind = {cfg.reg_kind} puts lambda2 ||x||^2 in h, but "
@@ -326,30 +325,31 @@ def build_problem(cfg: ExperimentConfig):
             raise ConfigError(str(exc)) from None
         losses = [SigmoidLoss(piece) for piece in shards]
         n = dataset.n
-        if cfg.problem_reg_split == "g-carries-l2":
-            objectives = [WithSquaredL2(obj, cfg.problem_lambda2) for obj in losses]
-            default_kind = "l1"
-        else:
-            objectives, default_kind = losses, "elastic-net"
-        worst = max(obj.lipschitz() for obj in objectives)
-        if not math.isfinite(worst):
-            if math.isfinite(max(obj.lipschitz() for obj in losses)):
-                raise ConfigError(
-                    f"problem.lambda2 = {cfg.problem_lambda2!r} in the smooth "
-                    "part (problem.reg_split = g-carries-l2) gives the "
-                    f"non-finite Lipschitz constant L = {worst!r}"
-                )
-            raise ConfigError(
-                f"data file {cfg.data_path} gives the non-finite Lipschitz "
-                f"constant L = {worst!r}"
-            )
+        # h defaults to the elastic net, less the ridge that g carries.
+        g_l2 = cfg.problem_reg_split == "g-carries-l2"
+        default_kind = "l1" if g_l2 else "elastic-net"
     else:
         n = cfg.problem_n
         try:
-            objectives = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
+            losses = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
         except MemoryError as exc:
             raise ConfigError(f"problem.n = {n} is too large: {exc}") from None
         default_kind = "zero"
+    objectives = losses
+    if cfg.problem_reg_split == "g-carries-l2":
+        objectives = [WithSquaredL2(obj, cfg.problem_lambda2) for obj in losses]
+    worst = max(obj.lipschitz() for obj in objectives)
+    if not math.isfinite(worst):
+        if math.isfinite(max(obj.lipschitz() for obj in losses)):
+            raise ConfigError(
+                f"problem.lambda2 = {cfg.problem_lambda2!r} in the smooth "
+                "part (problem.reg_split = g-carries-l2) gives the "
+                f"non-finite Lipschitz constant L = {worst!r}"
+            )
+        raise ConfigError(
+            f"data file {cfg.data_path} gives the non-finite Lipschitz "
+            f"constant L = {worst!r}"
+        )
     kind = cfg.reg_kind or default_kind
     regularizer = make_regularizer(
         kind, n, cfg.problem_lambda1, cfg.problem_lambda2, cfg.reg_lo, cfg.reg_hi

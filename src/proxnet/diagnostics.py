@@ -18,6 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .graphs import geometric_constants, slots_before
+from .objectives import agent_family
 
 
 class NumericalFault(RuntimeError):
@@ -69,13 +70,18 @@ TRACE_COLUMNS = tuple(f.name for f in fields(IterationMetrics))
 
 
 def gradient_averaging_error(x_all: np.ndarray, objectives) -> np.ndarray:
-    """Average gap between gradients at local iterates and at their mean."""
+    """Average gap between gradients at local iterates and at their mean.
+
+    objectives is an AgentFamily, or a list that is made into one.  Two
+    family grad calls give every agent's gradient at its iterate and at
+    the mean x_bar.  The gaps are summed in agent order, as a running sum
+    (np.add.accumulate), so no summation order depends on m or n.
+    """
+    family = agent_family(objectives)
     x_all = np.asarray(x_all, dtype=float)
-    x_bar = x_all.mean(axis=0)
-    total = np.zeros(x_all.shape[1])
-    for x_i, obj in zip(x_all, objectives):
-        total += obj.grad(x_i) - obj.grad(x_bar)
-    return total / len(objectives)
+    x_bar = np.broadcast_to(x_all.mean(axis=0), x_all.shape)
+    gaps = family.grad(x_all) - family.grad(x_bar)
+    return np.add.accumulate(gaps, axis=0)[-1] / len(family)
 
 
 def disagreement(x_all: np.ndarray, weights: np.ndarray) -> float:
@@ -116,12 +122,13 @@ class Certificates:
     """A run's certificate constants, fixed at the start; row() makes rows.
 
     The constants are the ball radius and G_h of IterationMetrics, and the
-    schedule's geometric constants (None for one agent).  alpha must be
+    schedule's geometric constants (None for one agent).  objectives is
+    an AgentFamily, or a list that is made into one.  alpha must be
     positive, which solver.run checks before the first row.
     """
 
     def __init__(self, objectives, reg, schedule, alpha, lipschitz, init):
-        self.objectives, self.reg, self.schedule = objectives, reg, schedule
+        self.family, self.reg, self.schedule = agent_family(objectives), reg, schedule
         self.alpha, self.lipschitz = alpha, lipschitz
         self.radius = 10.0 * max(1.0, float(np.max(np.linalg.norm(init, axis=1))))
         self.g_h = reg.subgradient_bound(self.radius)
@@ -140,7 +147,7 @@ class Certificates:
         rate = (0.0 if prev is None else prev.rate_T_times_stat) + dx * dx
         e_norm, geo_bound, eps = 0.0, 0.0, 0.0 if math.isfinite(self.g_h) else None
         if q is not None:
-            e_norm = float(np.linalg.norm(gradient_averaging_error(x, self.objectives)))
+            e_norm = float(np.linalg.norm(gradient_averaging_error(x, self.family)))
             geo_bound = geometric_envelope(self.geo, k, q)
         if q is not None and eps is not None:
             v_bar = v.mean(axis=0)
@@ -154,7 +161,7 @@ class Certificates:
         if eps is not None:
             residual += math.sqrt(2.0 * eps / self.alpha)
         comm = slots_before(k + 1)
-        smooth = np.mean([obj.value(x_bar) for obj in self.objectives])
+        smooth = np.mean(self.family.value(x_bar))
         h = self.reg.value(x_bar)
         row = IterationMetrics(
             k=k,

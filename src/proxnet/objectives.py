@@ -2,8 +2,10 @@
 
 The sigmoid loss is the black-box classification objective evaluated on a
 per-agent data shard; quadratics are the brute-force-checkable fixture
-family whose fixed points have closed forms.  LIBSVM ingestion, sharding
-and synthetic data generation live here too.
+family whose fixed points have closed forms.  AgentFamily evaluates every
+agent's objective at once, the only way the solver and the diagnostics
+evaluate them.  LIBSVM ingestion, sharding and synthetic data generation
+live here too.
 """
 
 from __future__ import annotations
@@ -462,7 +464,8 @@ def quadratic_family(m: int, n: int, seed: int) -> list[Quadratic]:
     and has Q = F F'/n + I/2.  The m Q's are views of one (m, n, n) array,
     and one batched power iteration over it (_power_norms) fills every
     member's lipschitz() cache: each constant is the one the member would
-    compute alone, a slight underestimate of ||Q||_2.
+    compute alone, a slight underestimate of ||Q||_2.  The same array is
+    the stack that AgentFamily multiplies by all m agents' points at once.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
@@ -477,6 +480,128 @@ def quadratic_family(m: int, n: int, seed: int) -> list[Quadratic]:
     for quad, lipschitz in zip(out, _power_norms(stack).tolist()):
         quad._lipschitz = lipschitz
     return out
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray | None:
+    """A read-only (k, ...) view of k arrays that lie back to back, else None.
+
+    The arrays must have one shape and strides and be views of one base
+    array, each starting where the one before it ends (one array always
+    qualifies), so the view covers exactly their memory and copies none.
+    """
+    first = parts[0]
+    step = first.shape[0] * first.strides[0]
+    start = first.__array_interface__["data"][0]
+    for i, part in enumerate(parts[1:], start=1):
+        if not (
+            part.base is not None
+            and part.base is first.base
+            and part.shape == first.shape
+            and part.strides == first.strides
+            and part.__array_interface__["data"][0] == start + i * step
+        ):
+            return None
+    return np.lib.stride_tricks.as_strided(
+        first, (len(parts), *first.shape), (step, *first.strides), writeable=False
+    )
+
+
+class AgentFamily:
+    """Every agent's smooth part g_i, evaluated for all m agents at once.
+
+    grad(X) maps (m, n) to (m, n): row i is grad g_i(X[i]).  value(x) maps
+    (n,) to (m,): every g_i at one point.  solver.run builds the family
+    once from RunSetup.objectives, and the solver and the diagnostics do
+    every evaluation through it.
+
+    The batched route is one np.matmul over a stack that views the
+    members' own arrays, with no copy.  It is taken when every member is
+    exactly a Quadratic (not a subclass) whose Q is row i of one (m, n, n)
+    array, as quadratic_family builds, or exactly a SigmoidLoss whose
+    shards are equal-size consecutive row blocks of one feature matrix, as
+    parse_libsvm(shard_seed=...) and shard(..., None) build; either kind
+    may be wrapped, every member alike, in WithSquaredL2 with one shared
+    lam2.  Every other family calls each member's grad and value in agent
+    order.  batched says which route this family takes.  Both routes give
+    the members' own results bit for bit: the batched forms keep each
+    member's BLAS call and the order of every sum.
+    """
+
+    def __init__(self, objectives) -> None:
+        self.members = list(objectives)
+        if not self.members:
+            raise ValueError("an agent family needs at least one objective")
+        self._lam2 = None  # the shared ridge of WithSquaredL2 members
+        bases = self.members
+        if all(type(obj) is WithSquaredL2 for obj in bases):
+            lam2 = {obj.lam2 for obj in bases}
+            if len(lam2) == 1:
+                (self._lam2,) = lam2
+                bases = [obj.base for obj in bases]
+        self._q = self._c = self._features = self._labels = None
+        if all(type(obj) is Quadratic for obj in bases):
+            self._q = _stacked([obj.q for obj in bases])
+            if self._q is not None:
+                self._c = np.stack([obj.c for obj in bases])
+        elif all(type(obj) is SigmoidLoss for obj in bases):
+            features = _stacked([obj.shard.features for obj in bases])
+            labels = _stacked([obj.shard.labels for obj in bases])
+            if features is not None and labels is not None:
+                self._features, self._labels = features, labels
+        self.batched = self._q is not None or self._features is not None
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def lipschitz(self) -> float:
+        """The worst member constant, max_i L_i."""
+        return max(obj.lipschitz() for obj in self.members)
+
+    def grad(self, x_all: np.ndarray) -> np.ndarray:
+        x_all = np.asarray(x_all, dtype=float)
+        if not self.batched:
+            grads = np.empty_like(x_all)
+            for i, obj in enumerate(self.members):
+                grads[i] = obj.grad(x_all[i])
+            return grads
+        if self._q is not None:
+            grads = np.matmul(self._q, (x_all - self._c)[:, :, None])[:, :, 0]
+        else:
+            s = stable_sigmoid(self._margins(x_all))
+            coeff = -s * (1.0 - s) * self._labels / self._labels.shape[1]
+            grads = np.matmul(
+                self._features.transpose(0, 2, 1), coeff[:, :, None]
+            )[:, :, 0]
+        if self._lam2 is not None:
+            grads = grads + 2.0 * self._lam2 * x_all
+        return grads
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if not self.batched:
+            return np.array([obj.value(x) for obj in self.members])
+        if self._q is not None:
+            d = x - self._c
+            values = 0.5 * np.matmul(
+                np.matmul(d[:, None, :], self._q), d[:, :, None]
+            )[:, 0, 0]
+        else:
+            margins = self._margins(np.broadcast_to(x, (len(self), x.size)))
+            values = stable_sigmoid(margins).sum(axis=1) / self._labels.shape[1]
+        if self._lam2 is not None:
+            values = values + self._lam2 * float(x @ x)
+        return values
+
+    def _margins(self, x_all: np.ndarray) -> np.ndarray:
+        products = np.matmul(self._features, x_all[:, :, None])[:, :, 0]
+        return self._labels * products
+
+
+def agent_family(objectives) -> AgentFamily:
+    """objectives as an AgentFamily; a family is returned as it is."""
+    if isinstance(objectives, AgentFamily):
+        return objectives
+    return AgentFamily(objectives)
 
 
 A9A_GROUP_SIZES = (5, 5, 5, 2, 2, 5, 8, 16, 7, 14, 6, 5, 2, 41)

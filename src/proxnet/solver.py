@@ -6,9 +6,10 @@ k), and every agent applies the shared proximal operator.  The step size
 is constant and must stay strictly below 1/L, where L is the worst local
 gradient Lipschitz constant.
 
-gradient_step moves every agent in one call: one grad per agent, then one
-array update.  run() checks its inputs, builds one diagnostics.Certificates
-and loops; every trace row and certificate constant lives there.
+gradient_step moves every agent in one call: one all-agent gradient
+evaluation of an objectives.AgentFamily, then one array update.  run()
+checks its inputs, builds the family and one diagnostics.Certificates
+once, and loops; every trace row and certificate constant lives there.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .diagnostics import Certificates, NumericalFault
 from .graphs import Schedule, consensus_weights, validate_schedule
+from .objectives import AgentFamily, agent_family
 from .regularizers import Regularizer
 
 
@@ -30,16 +32,15 @@ class StepSizeError(ValueError):
 def gradient_step(x_all: np.ndarray, objectives, alpha: float, k: int) -> np.ndarray:
     """q_i = x_i - alpha * grad g_i(x_i) for every agent i at once.
 
-    One grad call per agent, in agent order, fills an (m, n) gradient
-    array; a non-finite gradient raises NumericalFault naming iteration k
-    and the first agent that has one.
+    objectives is an AgentFamily, or a list that is made into one.  One
+    family grad call fills the (m, n) gradient array; a non-finite
+    gradient raises NumericalFault naming iteration k and the first agent
+    that has one.
     """
     if not alpha > 0:
         raise ValueError(f"step size must be positive, got {alpha}")
     x_all = np.asarray(x_all, dtype=float)
-    grads = np.empty_like(x_all)
-    for i, obj in enumerate(objectives):
-        grads[i] = obj.grad(x_all[i])
+    grads = agent_family(objectives).grad(x_all)
     _check_finite(grads, k, "gradient")
     return x_all - alpha * grads
 
@@ -154,9 +155,9 @@ def run(setup: RunSetup) -> RunTrace:
     if init.ndim != 2:
         raise ValueError(f"init must be (agents, dimension), got {init.shape}")
     m = init.shape[0]
-    objectives = list(setup.objectives)
-    if len(objectives) != m:
-        raise ValueError(f"{len(objectives)} objectives for {m} agents")
+    family = AgentFamily(setup.objectives)
+    if len(family) != m:
+        raise ValueError(f"{len(family)} objectives for {m} agents")
     schedule, reg, alpha = setup.schedule, setup.regularizer, setup.alpha
     if schedule.m != m:
         raise ValueError(f"schedule has {schedule.m} agents, init has {m}")
@@ -165,7 +166,7 @@ def run(setup: RunSetup) -> RunTrace:
     if setup.snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {setup.snapshot_every}")
 
-    lipschitz = max(obj.lipschitz() for obj in objectives)
+    lipschitz = family.lipschitz()
     if not math.isfinite(lipschitz):
         raise ValueError(f"Lipschitz constant L = {lipschitz!r} is not finite")
     if lipschitz > 0 and not 0 < alpha < 1.0 / lipschitz:
@@ -177,13 +178,13 @@ def run(setup: RunSetup) -> RunTrace:
     validate_schedule(schedule)
 
     _check_finite(init, 0, "initial point")
-    certificates = Certificates(objectives, reg, schedule, alpha, lipschitz, init)
+    certificates = Certificates(family, reg, schedule, alpha, lipschitz, init)
     x = init.copy()
     trace = RunTrace(alpha=alpha, lipschitz=lipschitz)
     trace.snapshots[0] = IterationSnapshot(k=0, x=x.copy(), q=None, v=None)
     trace.rows.append(certificates.row(0, x, x))
     for k in range(1, setup.max_iter + 1):
-        x_next, q_all, v_all = iterate(x, objectives, schedule, reg, alpha, k)
+        x_next, q_all, v_all = iterate(x, family, schedule, reg, alpha, k)
         trace.rows.append(
             certificates.row(k, x, x_next, q_all, v_all, trace.rows[-1])
         )

@@ -21,10 +21,12 @@ from proxnet.cli import (
 )
 from proxnet.graphs import PeriodicSchedule, RandomSchedule
 from proxnet.objectives import (
+    AgentFamily,
     Quadratic,
     SigmoidLoss,
     WithSquaredL2,
     parse_libsvm,
+    quadratic_family,
     serialize_libsvm,
     shard,
     subsample,
@@ -147,6 +149,8 @@ def test_config_parse_errors_carry_line_numbers(text, fragment, line):
         "reg.kind = elastic-net\n",
         "problem.kind = sigmoid\nproblem.reg_split = g-carries-l2\n"
         "reg.kind = squared-l2\n",
+        "problem.reg_split = g-carries-l2\nreg.kind = elastic-net\n",
+        "problem.reg_split = g-carries-l2\nreg.kind = squared-l2\n",
         "problem.lambda1 = inf\n",
         "problem.lambda1 = nan\n",
         "problem.lambda2 = inf\n",
@@ -281,6 +285,36 @@ def test_build_problem_reg_override_uses_problem_penalties():
     )
     _objs, reg, _n, _prov = build_problem(cfg)
     assert reg == L1(2, 0.25)
+
+
+def test_quadratic_problems_carry_the_ridge_in_g(tmp_path, capsys):
+    base = (
+        "problem.kind = quadratic\nproblem.n = 3\ngraph.m = 4\nproblem.seed = 2\n"
+        "problem.reg_split = g-carries-l2\n"
+    )
+    objectives, reg, _n, _prov = build_problem(
+        parse_config(base + "problem.lambda2 = 5\n")
+    )
+    assert reg == Zero(3)
+    assert all(isinstance(obj, WithSquaredL2) for obj in objectives)
+    for obj, quad in zip(objectives, quadratic_family(4, 3, 2)):
+        assert obj.lam2 == 5.0
+        assert obj.lipschitz() == quad.lipschitz() + 10.0
+    summaries = []
+    for lam2 in ("0", "5"):
+        conf = tmp_path / f"ridge-{lam2}.conf"
+        trace = tmp_path / f"ridge-{lam2}.csv"
+        conf.write_text(base + f"problem.lambda2 = {lam2}\noutput.trace = {trace}\n")
+        assert cli.main(["run", "--config", str(conf)]) == 0
+        summaries.append(capsys.readouterr().out)
+    assert (tmp_path / "ridge-0.csv").read_bytes() != (
+        tmp_path / "ridge-5.csv"
+    ).read_bytes()
+    norm = max(quad.lipschitz() for quad in quadratic_family(4, 3, 2))
+    assert f"lipschitz {norm!r}\n" in summaries[0]
+    assert f"lipschitz {norm + 10.0!r}\n" in summaries[1]
+    with pytest.raises(ConfigError, match="problem.lambda2 = 1e[+]308 in the smooth"):
+        build_problem(parse_config(base + "problem.lambda2 = 1e308\n"))
 
 
 def test_build_problem_sigmoid_splits(tmp_path):
@@ -821,15 +855,21 @@ def test_bad_graph_files_are_config_errors(tmp_path, capsys, command, text, mess
 
 
 def test_run_reports_numerical_fault_iteration(tmp_path, monkeypatch, capsys):
+    # The NaN is injected where the run evaluates gradients: the agent
+    # family, whose batched route calls no Quadratic.grad.
     conf = _quad_config(tmp_path)
+    family_grad = AgentFamily.grad
 
-    def bad_grad(self, x):
-        return np.full_like(np.asarray(x, dtype=float), np.nan)
+    def bad_grad(self, x_all):
+        grads = family_grad(self, x_all)
+        grads[2:, 1] = np.nan
+        return grads
 
-    monkeypatch.setattr(Quadratic, "grad", bad_grad)
+    monkeypatch.setattr(AgentFamily, "grad", bad_grad)
     assert cli.main(["run", "--config", str(conf)]) == 4
     err = capsys.readouterr().err
     assert "numerical fault at iteration 1" in err
+    assert "non-finite gradient at agent 2" in err
 
 
 def test_validate_graph_verdicts(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxnet.diagnostics import (
     TRACE_COLUMNS,
@@ -15,7 +15,7 @@ from proxnet.diagnostics import (
     write_trace_csv,
 )
 from proxnet.graphs import complete_schedule, geometric_constants
-from proxnet.objectives import Quadratic
+from proxnet.objectives import Quadratic, quadratic_family
 from proxnet.regularizers import L1, Box, Zero, check_inexact_prox
 
 from fixtures import matchings_run
@@ -37,6 +37,21 @@ def test_gradient_error_cancels_symmetric_deviations() -> None:
     assert gradient_averaging_error(x_all, objectives) == pytest.approx(
         np.zeros(2), abs=1e-15
     )
+
+
+@settings(max_examples=40, deadline=None)
+@example(m=157, n=1, seed=0)
+@given(m=st.integers(1, 200), n=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_gradient_error_sums_the_gaps_in_agent_order(m, n, seed) -> None:
+    # The per-agent loop the batched form replaces, bit for bit; a
+    # pairwise sum over agents differs from it when n = 1.
+    objectives = quadratic_family(m, n, seed)
+    x_all = np.random.default_rng(seed).standard_normal((m, n))
+    x_bar = x_all.mean(axis=0)
+    total = np.zeros(n)
+    for x_i, obj in zip(x_all, objectives):
+        total += obj.grad(x_i) - obj.grad(x_bar)
+    assert np.array_equal(gradient_averaging_error(x_all, objectives), total / m)
 
 
 def test_gradient_error_9a_bound_along_run() -> None:

@@ -9,10 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 from proxnet import objectives
 from proxnet.objectives import (
+    AgentFamily,
     Dataset,
     Quadratic,
     SigmoidLoss,
     WithSquaredL2,
+    agent_family,
     parse_libsvm,
     quadratic_family,
     serialize_libsvm,
@@ -577,6 +579,85 @@ def test_with_squared_l2_wrapper() -> None:
     assert obj.grad(x) == pytest.approx(approx, abs=1e-5)
     with pytest.raises(ValueError):
         WithSquaredL2(base, lam2=-0.1)
+
+
+def _loop_grads(members, x_all) -> np.ndarray:
+    return np.array([obj.grad(x) for obj, x in zip(members, x_all)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["quadratic", "equal-shards", "unequal-shards"]),
+    ridge=st.sampled_from([None, 0.0, 0.7]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_agent_family_matches_the_per_agent_loop(m, n, kind, ridge, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        members = quadratic_family(m, n, seed)
+    else:
+        extra = int(rng.integers(1, m)) if kind == "unequal-shards" and m > 1 else 0
+        count = m * int(rng.integers(1, 5)) + extra
+        data = Dataset(rng.standard_normal((count, n)), rng.choice([-1.0, 1.0], count))
+        members = [SigmoidLoss(piece) for piece in shard(data, m, None)]
+    if ridge is not None:
+        members = [WithSquaredL2(obj, ridge) for obj in members]
+    family = AgentFamily(members)
+    # Unequal shards cannot be stacked; every other draw is batched.
+    assert family.batched == (kind != "unequal-shards" or m == 1)
+    assert len(family) == m
+    x_all = scale * rng.standard_normal((m, n))
+    x = scale * rng.standard_normal(n)
+    assert np.array_equal(family.grad(x_all), _loop_grads(members, x_all))
+    same = np.broadcast_to(x, (m, n))
+    assert np.array_equal(family.grad(same), _loop_grads(members, same))
+    assert np.array_equal(
+        family.value(x), np.array([obj.value(x) for obj in members])
+    )
+    assert family.lipschitz() == max(obj.lipschitz() for obj in members)
+
+
+def test_agent_family_loops_over_what_it_cannot_stack() -> None:
+    class Shifted(Quadratic):
+        def grad(self, x):
+            return super().grad(x) + 1.0
+
+    stack = quadratic_family(3, 2, 0)
+    apart = [Quadratic(obj.q.copy(), obj.c) for obj in stack]
+    subclassed = [Shifted(obj.q, obj.c) for obj in stack]
+    mixed = [stack[0], WithSquaredL2(stack[1], 0.5), stack[2]]
+    ridges = [WithSquaredL2(obj, 0.1 * i) for i, obj in enumerate(stack)]
+    assert AgentFamily(stack).batched
+    x_all = np.arange(6.0).reshape(3, 2)
+    for members in (apart, subclassed, mixed, ridges):
+        family = AgentFamily(members)
+        assert not family.batched
+        assert np.array_equal(family.grad(x_all), _loop_grads(members, x_all))
+    assert np.array_equal(
+        AgentFamily(subclassed).grad(x_all), AgentFamily(stack).grad(x_all) + 1.0
+    )
+    assert agent_family(stack).batched
+    family = AgentFamily(stack)
+    assert agent_family(family) is family
+
+
+def test_agent_family_views_the_shards_without_a_copy() -> None:
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.standard_normal((20_000, 50)), rng.choice([-1.0, 1.0], 20_000))
+    members = [SigmoidLoss(piece) for piece in shard(data, 10, None)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        family = AgentFamily(members)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert family.batched
+    # The features take 8 MB; the family holds views of them.
+    assert held < 100_000
 
 
 def test_shard_sizes_and_union() -> None:
