@@ -72,15 +72,15 @@ TRACE_COLUMNS = tuple(f.name for f in fields(IterationMetrics))
 def gradient_averaging_error(x_all: np.ndarray, objectives) -> np.ndarray:
     """Average gap between gradients at local iterates and at their mean.
 
-    objectives is an AgentFamily, or a list that is made into one.  Two
-    family grad calls give every agent's gradient at its iterate and at
-    the mean x_bar.  The gaps are summed in agent order, as a running sum
-    (np.add.accumulate), so no summation order depends on m or n.
+    objectives is an AgentFamily, or a list that is made into one; its
+    gradient_gaps gives every agent's gap between the gradient at its
+    iterate and at the mean x_bar.  The gaps are summed in agent order, as
+    a running sum (np.add.accumulate), so no summation order depends on m
+    or n.
     """
     family = agent_family(objectives)
     x_all = np.asarray(x_all, dtype=float)
-    x_bar = np.broadcast_to(x_all.mean(axis=0), x_all.shape)
-    gaps = family.grad(x_all) - family.grad(x_bar)
+    gaps = family.gradient_gaps(x_all, x_all.mean(axis=0))
     return np.add.accumulate(gaps, axis=0)[-1] / len(family)
 
 

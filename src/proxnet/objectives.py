@@ -519,33 +519,26 @@ class AgentFamily:
     exactly a Quadratic (not a subclass) whose Q is row i of one (m, n, n)
     array, as quadratic_family builds, or exactly a SigmoidLoss whose
     shards are equal-size consecutive row blocks of one feature matrix, as
-    parse_libsvm(shard_seed=...) and shard(..., None) build; either kind
-    may be wrapped, every member alike, in WithSquaredL2 with one shared
-    lam2.  Every other family calls each member's grad and value in agent
-    order.  batched says which route this family takes.  Both routes give
-    the members' own results bit for bit: the batched forms keep each
-    member's BLAS call and the order of every sum.
+    parse_libsvm(shard_seed=...) and shard(..., None) build.  Every other
+    family, WithSquaredL2 members included, calls each member's grad and
+    value in agent order.  batched says which route this family takes.
+    Both routes give the members' own results bit for bit: the batched
+    forms keep each member's BLAS call and the order of every sum.
     """
 
     def __init__(self, objectives) -> None:
         self.members = list(objectives)
         if not self.members:
             raise ValueError("an agent family needs at least one objective")
-        self._lam2 = None  # the shared ridge of WithSquaredL2 members
-        bases = self.members
-        if all(type(obj) is WithSquaredL2 for obj in bases):
-            lam2 = {obj.lam2 for obj in bases}
-            if len(lam2) == 1:
-                (self._lam2,) = lam2
-                bases = [obj.base for obj in bases]
+        members = self.members
         self._q = self._c = self._features = self._labels = None
-        if all(type(obj) is Quadratic for obj in bases):
-            self._q = _stacked([obj.q for obj in bases])
+        if all(type(obj) is Quadratic for obj in members):
+            self._q = _stacked([obj.q for obj in members])
             if self._q is not None:
-                self._c = np.stack([obj.c for obj in bases])
-        elif all(type(obj) is SigmoidLoss for obj in bases):
-            features = _stacked([obj.shard.features for obj in bases])
-            labels = _stacked([obj.shard.labels for obj in bases])
+                self._c = np.stack([obj.c for obj in members])
+        elif all(type(obj) is SigmoidLoss for obj in members):
+            features = _stacked([obj.shard.features for obj in members])
+            labels = _stacked([obj.shard.labels for obj in members])
             if features is not None and labels is not None:
                 self._features, self._labels = features, labels
         self.batched = self._q is not None or self._features is not None
@@ -565,16 +558,25 @@ class AgentFamily:
                 grads[i] = obj.grad(x_all[i])
             return grads
         if self._q is not None:
-            grads = np.matmul(self._q, (x_all - self._c)[:, :, None])[:, :, 0]
-        else:
-            s = stable_sigmoid(self._margins(x_all))
-            coeff = -s * (1.0 - s) * self._labels / self._labels.shape[1]
-            grads = np.matmul(
-                self._features.transpose(0, 2, 1), coeff[:, :, None]
-            )[:, :, 0]
-        if self._lam2 is not None:
-            grads = grads + 2.0 * self._lam2 * x_all
-        return grads
+            return np.matmul(self._q, (x_all - self._c)[:, :, None])[:, :, 0]
+        s = stable_sigmoid(self._margins(x_all))
+        coeff = -s * (1.0 - s) * self._labels / self._labels.shape[1]
+        return np.matmul(self._features.transpose(0, 2, 1), coeff[:, :, None])[:, :, 0]
+
+    def gradient_gaps(self, x_all: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
+        """Row i is grad g_i(X[i]) - grad g_i(x_bar), for (m, n) X and (n,) x_bar.
+
+        The batched route makes two grad calls.  The loop route evaluates
+        each member at both points back to back, so a large shard is read
+        the second time while it is still in cache.
+        """
+        x_all = np.asarray(x_all, dtype=float)
+        if self.batched:
+            return self.grad(x_all) - self.grad(np.broadcast_to(x_bar, x_all.shape))
+        gaps = np.empty_like(x_all)
+        for i, obj in enumerate(self.members):
+            gaps[i] = obj.grad(x_all[i]) - obj.grad(x_bar)
+        return gaps
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -582,15 +584,10 @@ class AgentFamily:
             return np.array([obj.value(x) for obj in self.members])
         if self._q is not None:
             d = x - self._c
-            values = 0.5 * np.matmul(
-                np.matmul(d[:, None, :], self._q), d[:, :, None]
-            )[:, 0, 0]
-        else:
-            margins = self._margins(np.broadcast_to(x, (len(self), x.size)))
-            values = stable_sigmoid(margins).sum(axis=1) / self._labels.shape[1]
-        if self._lam2 is not None:
-            values = values + self._lam2 * float(x @ x)
-        return values
+            products = np.matmul(np.matmul(d[:, None, :], self._q), d[:, :, None])
+            return 0.5 * products[:, 0, 0]
+        margins = self._margins(np.broadcast_to(x, (len(self), x.size)))
+        return stable_sigmoid(margins).sum(axis=1) / self._labels.shape[1]
 
     def _margins(self, x_all: np.ndarray) -> np.ndarray:
         products = np.matmul(self._features, x_all[:, :, None])[:, :, 0]

@@ -585,6 +585,18 @@ def _loop_grads(members, x_all) -> np.ndarray:
     return np.array([obj.grad(x) for obj, x in zip(members, x_all)])
 
 
+def _assert_family_matches_loop(family, members, x_all, x) -> None:
+    m, n = x_all.shape
+    assert len(family) == m
+    assert np.array_equal(family.grad(x_all), _loop_grads(members, x_all))
+    same = np.broadcast_to(x, (m, n))
+    assert np.array_equal(family.grad(same), _loop_grads(members, same))
+    gaps = _loop_grads(members, x_all) - _loop_grads(members, same)
+    assert np.array_equal(family.gradient_gaps(x_all, x), gaps)
+    assert np.array_equal(family.value(x), np.array([obj.value(x) for obj in members]))
+    assert family.lipschitz() == max(obj.lipschitz() for obj in members)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(1, 12),
@@ -600,24 +612,40 @@ def test_agent_family_matches_the_per_agent_loop(m, n, kind, ridge, scale, seed)
         members = quadratic_family(m, n, seed)
     else:
         extra = int(rng.integers(1, m)) if kind == "unequal-shards" and m > 1 else 0
-        count = m * int(rng.integers(1, 5)) + extra
+        count = m * int(rng.integers(1, 300)) + extra
         data = Dataset(rng.standard_normal((count, n)), rng.choice([-1.0, 1.0], count))
         members = [SigmoidLoss(piece) for piece in shard(data, m, None)]
     if ridge is not None:
         members = [WithSquaredL2(obj, ridge) for obj in members]
     family = AgentFamily(members)
-    # Unequal shards cannot be stacked; every other draw is batched.
-    assert family.batched == (kind != "unequal-shards" or m == 1)
-    assert len(family) == m
+    # Bare quadratic_family members and bare equal shards are stacked;
+    # unequal shards and WithSquaredL2 members take the loop.
+    assert family.batched == (ridge is None and (kind != "unequal-shards" or m == 1))
     x_all = scale * rng.standard_normal((m, n))
-    x = scale * rng.standard_normal(n)
-    assert np.array_equal(family.grad(x_all), _loop_grads(members, x_all))
-    same = np.broadcast_to(x, (m, n))
-    assert np.array_equal(family.grad(same), _loop_grads(members, same))
-    assert np.array_equal(
-        family.value(x), np.array([obj.value(x) for obj in members])
-    )
-    assert family.lipschitz() == max(obj.lipschitz() for obj in members)
+    _assert_family_matches_loop(family, members, x_all, scale * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize(
+    "kind, m, rows, n",
+    [
+        ("sigmoid", 10, 200, 123),  # a9a-matchings shards
+        ("sigmoid", 10, 2_000, 54),  # covtype-shaped shards, a fifth as tall
+        ("quadratic", 200, None, 20),  # m200-matchings
+    ],
+)
+def test_agent_family_matches_the_loop_at_workload_shapes(kind, m, rows, n) -> None:
+    # Pairwise summation and BLAS blocking change order only past a few
+    # elements, so the hypothesis draws alone do not reach these sizes.
+    rng = np.random.default_rng(3)
+    if kind == "quadratic":
+        members = quadratic_family(m, n, 3)
+    else:
+        data = synthetic_classification(count=m * rows, n=n, seed=3)
+        members = [SigmoidLoss(piece) for piece in shard(data, m, None)]
+    family = AgentFamily(members)
+    assert family.batched
+    x_all = rng.standard_normal((m, n))
+    _assert_family_matches_loop(family, members, x_all, x_all.mean(axis=0))
 
 
 def test_agent_family_loops_over_what_it_cannot_stack() -> None:
@@ -629,7 +657,7 @@ def test_agent_family_loops_over_what_it_cannot_stack() -> None:
     apart = [Quadratic(obj.q.copy(), obj.c) for obj in stack]
     subclassed = [Shifted(obj.q, obj.c) for obj in stack]
     mixed = [stack[0], WithSquaredL2(stack[1], 0.5), stack[2]]
-    ridges = [WithSquaredL2(obj, 0.1 * i) for i, obj in enumerate(stack)]
+    ridges = [WithSquaredL2(obj, 0.5) for obj in stack]
     assert AgentFamily(stack).batched
     x_all = np.arange(6.0).reshape(3, 2)
     for members in (apart, subclassed, mixed, ridges):
