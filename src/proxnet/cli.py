@@ -14,6 +14,9 @@ environment override is OUTPUT_DIR, which relocates relative output paths.
 Exit codes: 0 success, 1 failed check (validate-graph, prox-check),
 2 config error or, for run, a schedule that is not window-connected
 (before the first iteration), 3 step-size violation, 4 numerical fault.
+A run that faults at iteration k >= 1 first writes the k trace rows before
+it and <trace>.fault.npz: the iteration, the agent and the iterate x that
+entered iteration k.
 """
 
 from __future__ import annotations
@@ -122,6 +125,9 @@ class ExperimentConfig:
     algo_init_scale: float = _key(1.0, finite=True)
     algo_seed: int = _key(0, at_least=0)
     output_trace: str = "trace.csv"
+    # Parsed and checked but no longer read: run keeps no snapshots.  The
+    # key stays only because benchmark workload configs set it, and goes
+    # once they stop.
     output_snapshot_every: int = _key(1, at_least=1)
 
 
@@ -437,10 +443,23 @@ def cmd_run(args) -> int:
         init=_build_init(cfg, cfg.graph_m, n),
         early_stop=cfg.algo_early_stop,
         tol=cfg.algo_tol,
-        snapshot_every=cfg.output_snapshot_every,
+        snapshot_every=None,
     )
     started = time.perf_counter()
-    trace = run(setup)
+    try:
+        trace = run(setup)
+    except NumericalFault as fault:
+        # Only a fault past the start carries rows and x.  A trace column
+        # names no agent, which is written as -1.
+        if fault.x is not None:
+            write_trace_csv(fault.rows, out_path)
+            np.savez(
+                out_path.with_suffix(".fault.npz"),
+                iteration=fault.iteration,
+                agent=-1 if fault.agent is None else fault.agent,
+                x=fault.x,
+            )
+        raise
     wall = time.perf_counter() - started
     write_trace_csv(trace.rows, out_path)
 

@@ -13,7 +13,7 @@ raises the same class for a non-finite iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,12 +22,19 @@ from .objectives import agent_family
 
 
 class NumericalFault(RuntimeError):
-    """Non-finite value produced during an iteration."""
+    """Non-finite value produced during an iteration.
+
+    agent is the first agent with a non-finite value, or None for a trace
+    column.  solver.run fills in rows and x, the trace rows written before
+    the iteration and the iterate that entered it, for iteration >= 1.
+    """
 
     def __init__(self, message: str, iteration: int, agent: int | None = None):
         super().__init__(message)
         self.iteration = iteration
         self.agent = agent
+        self.rows: list = []
+        self.x: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ def _format(value) -> str:
 
 
 def csv_line(row: IterationMetrics) -> str:
-    k, comm_cumulative, *values = astuple(row)
+    k, comm_cumulative, *values = (getattr(row, name) for name in TRACE_COLUMNS)
     return ",".join([str(k), str(comm_cumulative), *map(_format, values)])
 
 

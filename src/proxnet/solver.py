@@ -115,6 +115,9 @@ class RunSetup:
     """Everything a run needs besides the data inside the objectives.
 
     init has one row per agent.  alpha must satisfy alpha < 1/L strictly.
+    snapshot_every = s keeps the state of iterations 0, s, 2s, ...;
+    None keeps no snapshot and copies no state, so the run's memory does
+    not grow with max_iter.
     """
 
     objectives: list
@@ -125,12 +128,16 @@ class RunSetup:
     init: np.ndarray
     early_stop: bool = False
     tol: float = 1e-8
-    snapshot_every: int = 1
+    snapshot_every: int | None = 1
 
 
 @dataclass
 class RunTrace:
-    """Result of a run: per-iteration metrics plus state snapshots."""
+    """Result of a run: per-iteration metrics plus state snapshots.
+
+    snapshots maps k to the IterationSnapshot kept at iteration k; it is
+    empty when the setup's snapshot_every is None.
+    """
 
     rows: list = field(default_factory=list)
     snapshots: dict = field(default_factory=dict)
@@ -149,7 +156,9 @@ def run(setup: RunSetup) -> RunTrace:
     (off by default) triggers on the stationarity residual bound.  A
     non-finite start, step or trace row raises NumericalFault at its
     iteration, 0 for the start, so numpy's floating-point warnings, which
-    would only repeat it, are silenced.
+    would only repeat it, are silenced.  A fault at iteration k >= 1
+    carries the evidence: its rows are the k trace rows written before
+    it, and its x is the iterate that entered iteration k.
     """
     init = np.asarray(setup.init, dtype=float)
     if init.ndim != 2:
@@ -163,8 +172,9 @@ def run(setup: RunSetup) -> RunTrace:
         raise ValueError(f"schedule has {schedule.m} agents, init has {m}")
     if setup.max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {setup.max_iter}")
-    if setup.snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be >= 1, got {setup.snapshot_every}")
+    every = setup.snapshot_every
+    if every is not None and every < 1:
+        raise ValueError(f"snapshot_every must be >= 1, got {every}")
 
     lipschitz = family.lipschitz()
     if not math.isfinite(lipschitz):
@@ -181,14 +191,19 @@ def run(setup: RunSetup) -> RunTrace:
     certificates = Certificates(family, reg, schedule, alpha, lipschitz, init)
     x = init.copy()
     trace = RunTrace(alpha=alpha, lipschitz=lipschitz)
-    trace.snapshots[0] = IterationSnapshot(k=0, x=x.copy(), q=None, v=None)
+    if every is not None:
+        trace.snapshots[0] = IterationSnapshot(k=0, x=x.copy(), q=None, v=None)
     trace.rows.append(certificates.row(0, x, x))
     for k in range(1, setup.max_iter + 1):
-        x_next, q_all, v_all = iterate(x, family, schedule, reg, alpha, k)
-        trace.rows.append(
-            certificates.row(k, x, x_next, q_all, v_all, trace.rows[-1])
-        )
-        if k % setup.snapshot_every == 0:
+        try:
+            x_next, q_all, v_all = iterate(x, family, schedule, reg, alpha, k)
+            row = certificates.row(k, x, x_next, q_all, v_all, trace.rows[-1])
+        except NumericalFault as fault:
+            # Nothing writes into x after its step, so it needs no copy.
+            fault.rows, fault.x = trace.rows, x
+            raise
+        trace.rows.append(row)
+        if every is not None and k % every == 0:
             trace.snapshots[k] = IterationSnapshot(
                 k=k, x=x_next.copy(), q=q_all.copy(), v=v_all.copy()
             )

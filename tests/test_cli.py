@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from proxnet.objectives import (
     synthetic_classification,
 )
 from proxnet.regularizers import Box, ElasticNet, L1, Zero
+from proxnet.solver import run
 
 from oracles import shard_rows
 
@@ -772,6 +774,7 @@ def test_run_reports_an_overflowing_start_at_iteration_0(tmp_path, capsys, scale
     ), captured.err
     assert captured.out == ""
     assert not (tmp_path / "quad.csv").exists()
+    assert not (tmp_path / "quad.fault.npz").exists()
 
 
 @pytest.mark.parametrize(
@@ -870,6 +873,75 @@ def test_run_reports_numerical_fault_iteration(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical fault at iteration 1" in err
     assert "non-finite gradient at agent 2" in err
+
+
+@pytest.mark.parametrize(
+    "first_bad_call, agent, message",
+    # Each iteration makes one solver gradient call, then two for e.
+    [
+        (7, 2, "non-finite gradient at agent 2"),
+        (8, -1, "non-finite trace column e_norm"),
+    ],
+    ids=["gradient", "trace-column"],
+)
+def test_a_fault_leaves_its_rows_and_state(
+    tmp_path, monkeypatch, capsys, first_bad_call, agent, message
+):
+    # Call 7 is iteration 3's gradient step and call 8 its first gradient
+    # for e.  Either way rows 0-2 are written, and the state is the iterate
+    # that a clean two-iteration run ends at.
+    conf = _quad_config(tmp_path)
+    clean = tmp_path / "clean.csv"
+    finals = []
+
+    def keeping_run(setup):
+        finals.append(run(setup))
+        return finals[-1]
+
+    monkeypatch.setattr(cli, "run", keeping_run)
+    argv = ["run", "--config", str(conf), "--max-iter", "2", "--output", str(clean)]
+    assert cli.main(argv) == 0
+    family_grad, calls = AgentFamily.grad, []
+
+    def bad_grad(self, x_all):
+        grads = family_grad(self, x_all)
+        calls.append(None)
+        if len(calls) >= first_bad_call:
+            grads[2:, 1] = np.nan
+        return grads
+
+    monkeypatch.setattr(AgentFamily, "grad", bad_grad)
+    assert cli.main(["run", "--config", str(conf)]) == 4
+    captured = capsys.readouterr()
+    assert f"numerical fault at iteration 3: {message}" in captured.err
+    rows = (tmp_path / "quad.csv").read_bytes()
+    assert rows == clean.read_bytes() and rows.count(b"\n") == 1 + 3
+    assert not (tmp_path / "quad.summary.txt").exists()
+    with np.load(tmp_path / "quad.fault.npz") as state:
+        assert (state["iteration"], state["agent"]) == (3, agent)
+        assert np.array_equal(state["x"], finals[0].final_x)
+
+
+def test_run_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    # 200 agents with n = 20: one copy of x, q and v is 96 KB, so a copy
+    # kept per iteration would add 4.8 MB from T = 10 to T = 60.
+    conf = tmp_path / "m200.conf"
+    conf.write_text(
+        "problem.kind = quadratic\nproblem.n = 20\nproblem.lambda1 = 0.05\n"
+        "reg.kind = l1\ngraph.kind = matchings\ngraph.m = 200\n"
+        f"algo.init = gaussian\noutput.trace = {tmp_path / 'm200.csv'}\n"
+    )
+    peaks = {}
+    for horizon in (1, 10, 60):  # the first run only warms up
+        tracemalloc.start()
+        try:
+            argv = ["run", "--config", str(conf), "--max-iter", str(horizon)]
+            assert cli.main(argv) == 0
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert abs(peaks[60] - peaks[10]) < 2**20, peaks
 
 
 def test_validate_graph_verdicts(tmp_path, capsys):

@@ -24,7 +24,7 @@ from proxnet.solver import (
     prox_step,
     run,
 )
-from proxnet.diagnostics import gradient_averaging_error
+from proxnet.diagnostics import csv_line, gradient_averaging_error
 
 from fixtures import matchings_run
 from oracles import metropolis_by_edges, trace_rows
@@ -446,10 +446,14 @@ def test_run_snapshot_every() -> None:
         alpha=0.5 / max(o.lipschitz() for o in objectives),
         max_iter=10,
         init=np.zeros((2, 2)),
-        snapshot_every=4,
     )
-    trace = run(setup)
-    assert set(trace.snapshots) == {0, 4, 8}
+    default = run(setup)
+    for every, kept in ((4, {0, 4, 8}), (None, set())):
+        setup.snapshot_every = every
+        trace = run(setup)
+        assert set(trace.snapshots) == kept
+        assert list(map(csv_line, trace.rows)) == list(map(csv_line, default.rows))
+        assert np.array_equal(trace.final_x, default.final_x)
 
 
 def test_run_early_stop() -> None:
