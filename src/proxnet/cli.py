@@ -295,9 +295,10 @@ def build_problem(cfg: ExperimentConfig):
     if cfg.problem_kind == "sigmoid":
         # With m > 1 and the whole file, the parse writes each row into its
         # shard's place and shard cuts views of that one matrix, so the
-        # peak is the dense matrix plus the parse's flat arrays (43 + 14 MB
-        # for 100,000 covtype-shaped rows).  A subsample is drawn in file
-        # order, and shard shuffles its rows with a copy.
+        # peak is the dense matrix (43 MB for 100,000 covtype-shaped rows)
+        # plus a label and a row position per sample and one block of
+        # lines (4 MB).  A subsample is drawn in file order, and shard
+        # shuffles its rows with a copy.
         presorted = cfg.graph_m > 1 and cfg.data_subsample is None
         try:
             dataset = parse_libsvm(

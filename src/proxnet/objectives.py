@@ -34,7 +34,8 @@ class Dataset:
             raise ValueError(
                 f"label count {labels.shape} does not match {features.shape[0]} samples"
             )
-        if not np.all(np.isfinite(features)):
+        # NaN carries through min and max: exact, with no full-size temporary.
+        if features.size and not np.isfinite([features.min(), features.max()]).all():
             raise ValueError("features contain non-finite values")
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("labels must be exactly +1 or -1")
@@ -60,12 +61,12 @@ The strings and lists of a block cost about 140-190 bytes per feature
 while it is converted: 0.4 MB for 256 covtype-shaped lines (12 features
 each) and 23 MB for 256 lines of 500 features, but 13 MB for 8192
 covtype-shaped lines and about 0.7 GB for 8192 lines of 500 features.
-Larger blocks do not parse faster.  Only one block's strings are alive
-at a time, and each block is written straight into arrays sized for the
-whole file, so the block size bounds what a block holds while it is
-converted, not what the parse keeps.  The dense fill runs _BLOCK_LINES
-rows at a time too.
+Larger blocks do not parse faster.  Only one block's strings and arrays
+are alive at a time, whatever the size of the file.
 """
+
+_READ_CHARS = 1 << 16
+"""Characters that parse_libsvm reads at once: about 1 MB with their lines."""
 
 
 def _shard_order(count: int, seed: int) -> np.ndarray:
@@ -89,7 +90,7 @@ def parse_libsvm(
     at most 2**31 - 1: LIBSVM's own reader stores an index in a C int, and
     a dense row that wide would take 16 GiB.
     The source is a str of LIBSVM text or a path (os.PathLike) read as
-    UTF-8 text; its lines are split with str.splitlines.  The first
+    UTF-8 text; its lines are those of str.splitlines.  The first
     malformed line raises ValueError naming its 1-based line number.
 
     Raw label sets {-1,+1}, {0,1} and {1,2} are normalized to {-1,+1},
@@ -99,55 +100,54 @@ def parse_libsvm(
     they come in the order that shard(..., seed=shard_seed) would put
     them in, so shard(..., seed=None) can cut views without a copy.
 
-    Lines are converted _BLOCK_LINES at a time, with one split and one
-    numpy conversion per block instead of per token.  Blocks are bounded
-    so that only one block's per-token strings are held at once, whatever
-    the size of the file.  A block that fails a check is walked line by
-    line to name its first bad line.
-
-    Memory: every well-formed feature has exactly one colon, so the
-    colon count of the source sizes one flat int32 index array and one
-    flat value array before the first block; one label array and one
-    array of features per line are sized by the line count.  Besides the
-    split lines and the dense matrix, that is 12 bytes per feature and 16
-    per line.  A text read from a path is freed once it is split; a
-    caller's text stays alive through the call.  Each block is converted
-    straight into its slices of these arrays.  The split lines are freed
-    before the dense matrix is filled, each row straight into its final
-    position, _BLOCK_LINES rows at a time and without full-size
-    temporaries; the flat arrays are freed before the Dataset checks the
-    matrix.
+    The source is read twice, _READ_CHARS characters at a time: once to
+    count the samples (and find the widest index, unless declared), then,
+    after the dense matrix is allocated, to convert the lines _BLOCK_LINES
+    at a time, one split and one numpy conversion per block, and write
+    each block straight into its rows.  A block that fails a check is
+    walked line by line to name its first bad line; a matrix too large to
+    allocate is reported after every other check.  Besides the matrix,
+    the parse holds a label and a row position per sample, one read and
+    its lines, and one block.
     """
-    if isinstance(source, os.PathLike):
-        source = Path(source).read_text(encoding="utf-8")
-    lines = source.splitlines()
-    colons = source.count(":")
-    del source  # a text read here is freed before the first block
-    raw_labels = np.empty(len(lines))
-    counts = np.empty(len(lines), dtype=np.intp)
-    indices = np.empty(colons, dtype=np.int32)
-    values = np.empty(colons)
-    samples = tokens = 0
-    for start in range(0, len(lines), _BLOCK_LINES):
-        block = lines[start : start + _BLOCK_LINES]
-        written = _parse_block(
-            block,
-            raw_labels[samples:],
-            counts[samples:],
-            indices[tokens:],
-            values[tokens:],
-        )
-        if written is None:
-            raise ValueError(_first_error(block, start + 1))
-        samples += written[0]
-        tokens += written[1]
-    del lines  # before the dense matrix is filled
+    samples = width = 0
+    for text in _chunks(source):
+        lines = text.splitlines()
+        samples += len(lines) - lines.count("") - sum(map(str.isspace, lines))
+        if n_features is None:
+            width = max(width, _widest_index(lines))
     if samples == 0:
         raise ValueError("no samples found")
-    raw_labels, counts = raw_labels[:samples], counts[:samples]
-    max_index = int(indices[:tokens].max()) if tokens else 0
+    n = n_features if n_features is not None else width
+    failure = None
+    try:
+        features = np.zeros((samples, n))
+    except (MemoryError, ValueError) as exc:  # raised after the checks below
+        features, failure = None, exc
+    # Sample r of the file is written to row position[r] of the matrix.
+    position = np.arange(samples)
+    if shard_seed is not None:
+        position[_shard_order(samples, shard_seed)] = np.arange(samples)
+    raw_labels = np.empty(samples)
+    seen: set[float] = set()  # in file order: of 0.0 and -0.0 it shows the first
+    first = lineno = max_index = 0
+    for text in _chunks(source):
+        lines = text.splitlines()
+        for start in range(0, len(lines), _BLOCK_LINES):
+            block = lines[start : start + _BLOCK_LINES]
+            parsed = _parse_block(block)
+            if parsed is None:
+                raise ValueError(_first_error(block, lineno + start + 1))
+            labels, counts, indices, values = parsed
+            rows = position[first : first + labels.size]
+            raw_labels[rows] = labels
+            seen.update(labels.tolist())
+            max_index = max(max_index, int(indices.max(initial=0)))
+            if features is not None and max_index <= n:
+                features[np.repeat(rows, counts), indices - 1] = values
+            first += labels.size
+        lineno += len(lines)
 
-    seen = set(raw_labels.tolist())
     for negative, positive in _LABEL_FAMILIES:
         if seen <= {negative, positive}:
             labels = np.where(raw_labels == positive, 1.0, -1.0)
@@ -155,40 +155,58 @@ def parse_libsvm(
     else:
         raise ValueError(f"label set {sorted(seen)} is not a supported binary family")
 
-    n = n_features if n_features is not None else max_index
     if n < 1:
         raise ValueError("cannot infer feature dimension: no features present")
     if max_index > n:
         raise ValueError(f"feature index {max_index} exceeds declared dimension {n}")
-    # Line r of the file is written to row position[r] of the matrix.
-    position = np.arange(samples)
-    if shard_seed is not None:
-        order = _shard_order(samples, shard_seed)
-        position[order] = np.arange(samples)
-        labels = labels[order]
-    features = np.zeros((samples, n))
-    first = 0
-    for row in range(0, samples, _BLOCK_LINES):
-        chunk = counts[row : row + _BLOCK_LINES]
-        stop = first + int(chunk.sum())
-        rows = np.repeat(position[row : row + chunk.size], chunk)
-        features[rows, indices[first:stop] - 1] = values[first:stop]
-        first = stop
-    del indices, values
+    if failure is not None:
+        raise failure
     return Dataset(features, labels)
 
 
-def _parse_block(
-    lines: list[str],
-    labels: np.ndarray,
-    counts: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-) -> tuple[int, int] | None:
-    """Write a block of lines to the start of each array; (samples, features).
+def _chunks(source: str | os.PathLike):
+    """source's text in pieces cut after line breaks, never inside a CR LF."""
+    rest = ""
+    for text in _reads(source):
+        text = rest + text
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        yield text[:cut]
+        rest = text[cut:]
+    yield rest
 
-    counts receives the features of each sample.  Returns None when any
-    line breaks the grammar of parse_libsvm.
+
+def _reads(source: str | os.PathLike):
+    """source's text, _READ_CHARS characters at a time; a path read as UTF-8."""
+    if isinstance(source, os.PathLike):
+        with open(source, encoding="utf-8", newline="") as stream:
+            try:
+                yield from iter(lambda: stream.read(_READ_CHARS), "")
+            except UnicodeDecodeError:  # again, to count its position in the file
+                Path(source).read_bytes().decode("utf-8")
+                raise
+    else:
+        for start in range(0, len(source), _READ_CHARS):
+            yield source[start : start + _READ_CHARS]
+
+
+def _widest_index(lines: list[str]) -> int:
+    """The largest last index of the lines, or 0 if one fails to convert."""
+    parts = [raw.rsplit(None, 1) for raw in lines]
+    last = [part[1].partition(":")[0] for part in parts if len(part) == 2]
+    indices = np.empty(len(last), dtype=np.int32)
+    try:
+        indices[:] = last
+    except (ValueError, OverflowError):
+        return 0  # _parse_block rejects that line too
+    return int(indices.max(initial=0))
+
+
+def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
+    """(labels, counts, indices, values) of a block of lines, or None.
+
+    counts holds the features of each sample, and indices and values those
+    of every sample in turn.  None when any line breaks the grammar of
+    parse_libsvm.
     """
     samples = [parts for parts in (raw.split(None, 1) for raw in lines) if parts]
     text = " ".join([parts[1] for parts in samples if len(parts) == 2])
@@ -204,25 +222,25 @@ def _parse_block(
         and pieces[1::3].count(":") == tokens
     ):
         return None
-    rows = len(samples)
+    labels = np.empty(len(samples))
+    indices = np.empty(tokens, dtype=np.int32)
+    values = np.empty(tokens)
     try:
-        labels[:rows] = [parts[0] for parts in samples]
-        values[:tokens] = pieces[2::3]
-        indices[:tokens] = pieces[0::3]
+        labels[:] = [parts[0] for parts in samples]
+        values[:] = pieces[2::3]
+        indices[:] = pieces[0::3]
     except (ValueError, OverflowError):  # OverflowError: past the int32 range
         return None
-    counts[:rows] = [
-        parts[1].count(":") if len(parts) == 2 else 0 for parts in samples
-    ]
+    counts = [parts[1].count(":") if len(parts) == 2 else 0 for parts in samples]
+    counts = np.array(counts, dtype=np.intp)
     # Each index must exceed the one before it on its line, or 0 first.
-    indices, counts = indices[:tokens], counts[:rows]
     previous = np.zeros_like(indices)
     previous[1:] = indices[:-1]
     starts = np.cumsum(counts) - counts
     previous[starts[counts > 0]] = 0
     if np.any(indices <= previous):
         return None
-    return rows, tokens
+    return labels, counts, indices, values
 
 
 def _first_error(lines: list[str], first_lineno: int) -> str:
@@ -275,10 +293,40 @@ def serialize_libsvm(dataset: Dataset) -> str:
 
 
 def stable_sigmoid(u: np.ndarray) -> np.ndarray:
-    """1/(1+e^u) evaluated without overflow for any magnitude of u."""
-    u = np.asarray(u, dtype=float)
-    z = np.exp(-np.abs(u))
-    return np.where(u >= 0, z, 1.0) / (1.0 + z)
+    """1/(1+e^u) evaluated without overflow for any magnitude of u; u is not written."""
+    return _sigmoid_in_place(np.array(u, dtype=float))
+
+
+def _sigmoid_in_place(u: np.ndarray) -> np.ndarray:
+    """u overwritten by 1/(1+e^u): z/(1+z) where u >= 0, else 1/(1+z), z = e^-|u|.
+
+    The numerator e^-fmax(u, 0) is z where u >= 0 and 1 elsewhere, NaN too:
+    on mixed signs two exps cost less than a select by sign.
+    """
+    denominator = np.abs(u, out=np.empty_like(u))  # an array also when u is 0-d
+    np.exp(np.negative(denominator, out=denominator), out=denominator)
+    denominator += 1.0
+    np.exp(np.negative(np.fmax(u, 0.0, out=u), out=u), out=u)
+    return np.divide(u, denominator, out=u)
+
+
+def _sigmoid_terms(products: np.ndarray, labels: np.ndarray, *, slopes: bool):
+    """Mean sigmoid loss of each shard, or its slopes -s(1-s)l/count, in products.
+
+    products = features @ x becomes the margins u = l * products, then
+    s = 1/(1+e^u), then the slopes; its last axis is one shard's samples.
+    Every step equals the written-out formula bit for bit.
+    """
+    count = labels.shape[-1]
+    s = _sigmoid_in_place(np.multiply(labels, products, out=products))
+    if not slopes:
+        return s.sum(axis=-1) / count
+    rest = 1.0 - s
+    np.negative(s, out=s)
+    s *= rest
+    s *= labels
+    s /= count
+    return s
 
 
 def sigmoid_curvature_peak() -> float:
@@ -309,18 +357,18 @@ class SigmoidLoss:
     def n(self) -> int:
         return self.shard.n
 
-    def _margins(self, x: np.ndarray) -> np.ndarray:
+    def _products(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {x.shape}")
-        return self.shard.labels * (self.shard.features @ x)
+        return self.shard.features @ x
 
     def value(self, x: np.ndarray) -> float:
-        return float(stable_sigmoid(self._margins(x)).sum() / self.shard.count)
+        terms = _sigmoid_terms(self._products(x), self.shard.labels, slopes=False)
+        return float(terms)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        s = stable_sigmoid(self._margins(x))
-        coeff = -s * (1.0 - s) * self.shard.labels / self.shard.count
+        coeff = _sigmoid_terms(self._products(x), self.shard.labels, slopes=True)
         return self.shard.features.T @ coeff
 
     def lipschitz(self) -> float:
@@ -559,8 +607,7 @@ class AgentFamily:
             return grads
         if self._q is not None:
             return np.matmul(self._q, (x_all - self._c)[:, :, None])[:, :, 0]
-        s = stable_sigmoid(self._margins(x_all))
-        coeff = -s * (1.0 - s) * self._labels / self._labels.shape[1]
+        coeff = _sigmoid_terms(self._products(x_all), self._labels, slopes=True)
         return np.matmul(self._features.transpose(0, 2, 1), coeff[:, :, None])[:, :, 0]
 
     def gradient_gaps(self, x_all: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
@@ -586,12 +633,11 @@ class AgentFamily:
             d = x - self._c
             products = np.matmul(np.matmul(d[:, None, :], self._q), d[:, :, None])
             return 0.5 * products[:, 0, 0]
-        margins = self._margins(np.broadcast_to(x, (len(self), x.size)))
-        return stable_sigmoid(margins).sum(axis=1) / self._labels.shape[1]
+        products = self._products(np.broadcast_to(x, (len(self), x.size)))
+        return _sigmoid_terms(products, self._labels, slopes=False)
 
-    def _margins(self, x_all: np.ndarray) -> np.ndarray:
-        products = np.matmul(self._features, x_all[:, :, None])[:, :, 0]
-        return self._labels * products
+    def _products(self, x_all: np.ndarray) -> np.ndarray:
+        return np.matmul(self._features, x_all[:, :, None])[:, :, 0]
 
 
 def agent_family(objectives) -> AgentFamily:

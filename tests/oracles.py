@@ -10,8 +10,9 @@ iteration on one matrix at a time for spectral norm estimates,
 Metropolis weights built edge by edge from an edge list, the edge lists
 a random schedule's window draws, a token-by-token LIBSVM reader, shard
 row indices counted out one shard at a time, an iteration's mixing
-matrix multiplied out from scratch, and the sigmoid with a sum and a
-quotient of its own in each branch.
+matrix multiplied out from scratch, the sigmoid with a sum and a
+quotient of its own in each branch, and the sigmoid loss and its gradient
+as their formulas read.
 trace_rows assembles every trace row from a run's snapshots, row 0 and the
 later rows written out separately.  It writes eps and residual_bound out
 from the formulas of the IterationMetrics docstring, and calls the
@@ -372,6 +373,17 @@ def two_branch_sigmoid(u: np.ndarray) -> np.ndarray:
     """1/(1+e^u) as z/(1+z) where u >= 0 and 1/(1+z) elsewhere, z = e^-|u|."""
     z = np.exp(-np.abs(u))
     return np.where(u >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
+
+
+def sigmoid_loss_by_formula(features, labels, x) -> tuple[float, np.ndarray]:
+    """(value, gradient) of one shard's mean sigmoid loss at x, as the formulas read.
+
+    u = l * (A x), s = two_branch_sigmoid(u), the value is mean(s) and the
+    gradient A' (-s * (1 - s) * l / count), each a fresh array.
+    """
+    s = two_branch_sigmoid(labels * (features @ x))
+    coeff = -s * (1.0 - s) * labels / labels.size
+    return float(np.mean(s)), features.T @ coeff
 
 
 def shard_rows(count: int, m: int, seed: int) -> list[np.ndarray]:

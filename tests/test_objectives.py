@@ -29,6 +29,7 @@ from oracles import (
     central_difference,
     parse_libsvm_by_token,
     shard_rows,
+    sigmoid_loss_by_formula,
     spectral_norm_power,
     two_branch_sigmoid,
 )
@@ -283,6 +284,81 @@ def test_parse_matches_token_loop(text, n_features, block) -> None:
         _assert_parses_like_token_loop(text, n_features)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    text=_libsvm_texts(),
+    n_features=st.none() | st.integers(0, 14),
+    read=st.integers(1, 7),
+    block=st.sampled_from([1, 3, BLOCK]),
+)
+def test_parse_matches_token_loop_whatever_the_read_size(text, n_features, read, block):
+    # Reads of 1 to 7 characters cut these short texts everywhere,
+    # between the "\r" and "\n" of a line break too.
+    with mock.patch.multiple(objectives, _READ_CHARS=read, _BLOCK_LINES=block):
+        _assert_parses_like_token_loop(text, n_features)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+1 1:1 3:2\r\n-1 2:0.5\r\n+1 4:1\r\n",
+        "+1 1:1\r-1 2:0.5\r\r+1 4:1\r",
+        "+1 1:1\n-1 2:0.5\n+1 4:1",
+        "+1 1:1\n \t \n\n-1 2:0.5\n  \n",
+        "+1 1:1\r\n\r\n-1 2:1 2:1\r\n+1 1:1\r\n",
+        "+1 1:1\r\r\n-1 x\r\n+1 1:1",
+        "\r\n+1 12:1\r\n-1 3:1",
+    ],
+    ids=[
+        "CRLF",
+        "CR only",
+        "no final line break",
+        "whitespace-only lines",
+        "CRLF, bad line 3",
+        "CR then CRLF, bad line 3",
+        "CRLF, widest index 12",
+    ],
+)
+@pytest.mark.parametrize("n_features", [None, 9])
+def test_parse_reads_a_text_or_a_path_in_any_pieces(tmp_path, text, n_features):
+    path = tmp_path / "data.libsvm"
+    path.write_bytes(text.encode("utf-8"))  # line breaks as they are
+    expected = _outcome(_by_token, text, n_features)
+    for read in range(1, 8):
+        with mock.patch.object(objectives, "_READ_CHARS", read):
+            assert _outcome(parse_libsvm, text, n_features) == expected
+            assert _outcome(parse_libsvm, path, n_features) == expected
+
+
+def test_parse_names_a_bad_byte_by_its_place_in_the_file(tmp_path) -> None:
+    # Past the first 8 KiB that a text file decodes at once.
+    path = tmp_path / "data.libsvm"
+    path.write_bytes(b"+1 1:0.5\n" * 2000 + b"-1 2:\xff\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    assert "position 18005" in str(whole.value)
+    for read in (7, objectives._READ_CHARS):
+        with mock.patch.object(objectives, "_READ_CHARS", read):
+            with pytest.raises(UnicodeDecodeError) as streamed:
+                parse_libsvm(path)
+        assert str(streamed.value) == str(whole.value)
+
+
+def test_parse_checks_every_line_before_it_allocates_the_matrix() -> None:
+    # A 2 x 10^15 matrix (14.2 PiB) is past the 128 TiB of address space
+    # that Linux gives a process, so its allocation fails untouched.
+    with pytest.raises(ValueError, match="^line 2: expected idx:val, got 'x'$"):
+        parse_libsvm("+1 1:0.5\n-1 x\n", n_features=10**15)
+    with pytest.raises(ValueError, match="^label set"):
+        parse_libsvm("+1 1:0.5\n3 2:1\n", n_features=10**15)
+    with pytest.raises(MemoryError):
+        parse_libsvm("+1 1:0.5\n-1 2:1\n", n_features=10**15)
+    # An inferred width of 2**31 - 1 over 9002 rows asks for 144 TiB.
+    text = "+1 2147483647:1\n" + "-1 1:1\n" * 9000 + "+1 x\n"
+    with pytest.raises(ValueError, match="^line 9002: expected idx:val"):
+        parse_libsvm(text)
+
+
 def test_serialize_round_trip() -> None:
     data = synthetic_classification(count=60, n=17, seed=4)
     again = parse_libsvm(serialize_libsvm(data))
@@ -334,6 +410,20 @@ _ANY_FLOAT = (
 def test_stable_sigmoid_matches_the_two_branch_form_bit_for_bit(u) -> None:
     u = np.concatenate([_SIGMOID_EDGES, u])
     assert stable_sigmoid(u).tobytes() == two_branch_sigmoid(u).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(u=arrays(np.float64, st.integers(0, 50), elements=_ANY_FLOAT))
+def test_stable_sigmoid_never_writes_into_its_argument(u) -> None:
+    u = np.concatenate([_SIGMOID_EDGES, u])
+    before = u.tobytes()
+    stable_sigmoid(u)
+    assert u.tobytes() == before
+    u.setflags(write=False)  # a write would raise
+    assert stable_sigmoid(u).tobytes() == two_branch_sigmoid(u).tobytes()
+    zero_d = np.array(-3.0)
+    assert float(stable_sigmoid(zero_d)) == float(two_branch_sigmoid(zero_d))
+    assert zero_d == -3.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -625,6 +715,77 @@ def test_agent_family_matches_the_per_agent_loop(m, n, kind, ridge, scale, seed)
     _assert_family_matches_loop(family, members, x_all, scale * rng.standard_normal(n))
 
 
+def _assert_sigmoid_matches_the_formula(members, family, x_all, x_bar) -> None:
+    """Members and family against sigmoid_loss_by_formula, bit for bit."""
+    at_x = [
+        sigmoid_loss_by_formula(obj.shard.features, obj.shard.labels, x)
+        for obj, x in zip(members, x_all)
+    ]
+    at_bar = [
+        sigmoid_loss_by_formula(obj.shard.features, obj.shard.labels, x_bar)
+        for obj in members
+    ]
+    for obj, x, (value, grad) in zip(members, x_all, at_x):
+        assert obj.grad(x).tobytes() == grad.tobytes()
+        assert np.float64(obj.value(x)).tobytes() == np.float64(value).tobytes()
+    grads = np.array([grad for _, grad in at_x])
+    grads_at_bar = np.array([grad for _, grad in at_bar])
+    assert family.grad(x_all).tobytes() == grads.tobytes()
+    gaps = family.gradient_gaps(x_all, x_bar)
+    assert gaps.tobytes() == (grads - grads_at_bar).tobytes()
+    values = np.array([value for value, _ in at_bar])
+    assert family.value(x_bar).tobytes() == values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    rows=st.integers(1, 299),
+    n=st.integers(1, 4),
+    unequal=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_sigmoid_kernel_matches_the_formula_oracle(m, rows, n, unequal, scale, seed):
+    # Member and family share one kernel, so their own agreement cannot
+    # catch a wrong formula; this oracle writes the formulas out.
+    rng = np.random.default_rng(seed)
+    count = m * rows + (int(rng.integers(1, m)) if unequal and m > 1 else 0)
+    # With x in {-1, 0, 1}^n the margins reach |u| = scale, up to 800,
+    # where e^-|u| underflows; zero rows give +0, and -0 under label -1.
+    features = rng.uniform(-scale, scale, (count, n)) / n
+    features[rng.random(count) < 0.2] = 0.0
+    data = Dataset(features, rng.choice([-1.0, 1.0], count))
+    members = [SigmoidLoss(piece) for piece in shard(data, m, None)]
+    family = AgentFamily(members)
+    assert family.batched == (count == m * rows)
+    x_all = rng.choice([-1.0, 0.0, 1.0], (m, n))
+    _assert_sigmoid_matches_the_formula(members, family, x_all, x_all.mean(axis=0))
+
+
+def test_sigmoid_kernel_at_covtype_shape_matches_the_formula_in_little_memory():
+    m, rows, n = 10, 10_000, 54
+    rng = np.random.default_rng(5)
+    data = Dataset(
+        rng.standard_normal((m * rows, n)), rng.choice([-1.0, 1.0], m * rows)
+    )
+    members = [SigmoidLoss(piece) for piece in shard(data, m, None)]
+    family = AgentFamily(members)
+    assert family.batched
+    x_all = 0.3 * rng.standard_normal((m, n))
+    _assert_sigmoid_matches_the_formula(members, family, x_all, x_all.mean(axis=0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        family.grad(x_all)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # The margins are m * rows floats; the kernel works in them in place.
+    assert peak <= 3.25 * m * rows * 8
+
+
 @pytest.mark.parametrize(
     "kind, m, rows, n",
     [
@@ -753,23 +914,24 @@ def test_parse_in_shard_order_gives_shard_views(count, m, seed, block) -> None:
 
 
 def test_parse_and_shard_peak_stays_well_below_two_matrices(tmp_path) -> None:
-    # Measured on this 4000 x 54 file (14 features a row): parsing the
-    # path in shard order and cutting views peaks at 1.55 times the dense
-    # matrix, at the fill (the matrix plus the flat index and value
-    # arrays).  Parsing a text the caller had read, in file order, and
-    # letting shard gather copies of the rows peaked at 2.08 times.
+    # Measured on 4000 x 54 rows (14 features a row), and on those rows
+    # ten times over: parsing the path in shard order and cutting views
+    # peaks at 1.63 and 1.10 times the dense matrix, which is the matrix
+    # plus one read of the source, its lines and one block.  Parsing a
+    # text the caller had read, in file order, and letting shard gather
+    # copies of the rows peaked at 2.07 and 2.06 times.
     path = tmp_path / "data.libsvm"
-    data = synthetic_classification(count=4000, n=54, seed=0)
-    path.write_text(serialize_libsvm(data), encoding="utf-8")
-    del data
-    tracemalloc.start()
-    try:
-        shards = shard(parse_libsvm(path, shard_seed=0), m=10, seed=None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    matrix = sum(piece.features.nbytes for piece in shards)
-    assert peak < 1.8 * matrix
+    text = serialize_libsvm(synthetic_classification(count=4000, n=54, seed=0))
+    for repeats, bound in [(1, 1.8), (10, 1.3)]:
+        path.write_text(text * repeats, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            shards = shard(parse_libsvm(path, shard_seed=0), m=10, seed=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = sum(piece.features.nbytes for piece in shards)
+        assert peak < bound * matrix
 
 
 def test_subsample() -> None:
