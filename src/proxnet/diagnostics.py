@@ -79,15 +79,16 @@ TRACE_COLUMNS = tuple(f.name for f in fields(IterationMetrics))
 def gradient_averaging_error(x_all: np.ndarray, objectives) -> np.ndarray:
     """Average gap between gradients at local iterates and at their mean.
 
-    objectives is an AgentFamily, or a list that is made into one; its
-    gradient_gaps gives every agent's gap between the gradient at its
-    iterate and at the mean x_bar.  The gaps are summed in agent order, as
-    a running sum (np.add.accumulate), so no summation order depends on m
-    or n.
+    objectives is an AgentFamily, or a list made into one.  In a run the
+    family remembers the gradients at the iterates from the step and, on
+    its batched sigmoid route, the sigmoid values at x_bar from the last
+    row's f_avg.  The gaps are summed in agent order (np.add.accumulate),
+    so no summation order depends on m or n.
     """
     family = agent_family(objectives)
     x_all = np.asarray(x_all, dtype=float)
-    gaps = family.gradient_gaps(x_all, x_all.mean(axis=0))
+    x_bar = np.broadcast_to(x_all.mean(axis=0), x_all.shape)
+    gaps = family.grad(x_all) - family.grad(x_bar)
     return np.add.accumulate(gaps, axis=0)[-1] / len(family)
 
 
@@ -198,15 +199,10 @@ class Certificates:
         return row
 
 
-def _format(value) -> str:
-    if value is None:
-        return "nan"
-    return repr(float(value))
-
-
 def csv_line(row: IterationMetrics) -> str:
     k, comm_cumulative, *values = (getattr(row, name) for name in TRACE_COLUMNS)
-    return ",".join([str(k), str(comm_cumulative), *map(_format, values)])
+    floats = ["nan" if value is None else repr(float(value)) for value in values]
+    return ",".join([str(k), str(comm_cumulative), *floats])
 
 
 def write_trace_csv(rows, path) -> None:

@@ -68,6 +68,8 @@ are alive at a time, whatever the size of the file.
 _READ_CHARS = 1 << 16
 """Characters that parse_libsvm reads at once: about 1 MB with their lines."""
 
+_SQUARE_ROWS = 1024  # rows of a shard that SigmoidLoss.lipschitz squares at once
+
 
 def _shard_order(count: int, seed: int) -> np.ndarray:
     """The seeded row order that shard cuts and subsample takes a prefix of."""
@@ -310,23 +312,23 @@ def _sigmoid_in_place(u: np.ndarray) -> np.ndarray:
     return np.divide(u, denominator, out=u)
 
 
-def _sigmoid_terms(products: np.ndarray, labels: np.ndarray, *, slopes: bool):
-    """Mean sigmoid loss of each shard, or its slopes -s(1-s)l/count, in products.
+def _sigmoid_values(features: np.ndarray, labels: np.ndarray, x: np.ndarray):
+    """s = 1/(1+e^u) at each margin u = l <a, x> of one shard or of a stack.
 
-    products = features @ x becomes the margins u = l * products, then
-    s = 1/(1+e^u), then the slopes; its last axis is one shard's samples.
-    Every step equals the written-out formula bit for bit.
+    Like _sigmoid_grad, it equals the written-out formula bit for bit.
     """
-    count = labels.shape[-1]
-    s = _sigmoid_in_place(np.multiply(labels, products, out=products))
-    if not slopes:
-        return s.sum(axis=-1) / count
+    products = np.matmul(features, x[..., None])[..., 0]
+    return _sigmoid_in_place(np.multiply(labels, products, out=products))
+
+
+def _sigmoid_grad(features: np.ndarray, labels: np.ndarray, s: np.ndarray):
+    """The gradient a' (-s(1-s)l/count); s is overwritten by those slopes."""
     rest = 1.0 - s
     np.negative(s, out=s)
     s *= rest
     s *= labels
-    s /= count
-    return s
+    s /= labels.shape[-1]
+    return np.matmul(np.swapaxes(features, -1, -2), s[..., None])[..., 0]
 
 
 def sigmoid_curvature_peak() -> float:
@@ -357,28 +359,29 @@ class SigmoidLoss:
     def n(self) -> int:
         return self.shard.n
 
-    def _products(self, x: np.ndarray) -> np.ndarray:
+    def _sigmoid(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {x.shape}")
-        return self.shard.features @ x
+        return _sigmoid_values(self.shard.features, self.shard.labels, x)
 
     def value(self, x: np.ndarray) -> float:
-        terms = _sigmoid_terms(self._products(x), self.shard.labels, slopes=False)
-        return float(terms)
+        return float(self._sigmoid(x).sum() / self.shard.count)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        coeff = _sigmoid_terms(self._products(x), self.shard.labels, slopes=True)
-        return self.shard.features.T @ coeff
+        return _sigmoid_grad(self.shard.features, self.shard.labels, self._sigmoid(x))
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:
             # Features past about 1e154 overflow L to inf, which callers
-            # reject; numpy need not warn about it as well.
+            # reject; numpy need not warn about it as well.  Squaring blocks
+            # of rows keeps each row's sum and copies no whole shard.
+            features, norms_sq = self.shard.features, np.empty(self.shard.count)
             with np.errstate(over="ignore"):
-                norms_sq = np.sum(self.shard.features**2, axis=1)
-                mean = float(np.mean(norms_sq))
-            self._lipschitz = sigmoid_curvature_peak() * mean
+                for i in range(0, self.shard.count, _SQUARE_ROWS):
+                    rows = slice(i, i + _SQUARE_ROWS)
+                    np.sum(np.square(features[rows]), axis=1, out=norms_sq[rows])
+                self._lipschitz = sigmoid_curvature_peak() * float(np.mean(norms_sq))
         return self._lipschitz
 
 
@@ -434,6 +437,14 @@ def _power_norms(stack: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     return norms
 
 
+def _quadratic_terms(q: np.ndarray, c: np.ndarray, x, *, grad: bool) -> np.ndarray:
+    """Q(x-c), or (x-c)' Q (x-c) / 2, of one Q or of each of a (k, n, n) stack."""
+    d = np.asarray(x, dtype=float) - c
+    if grad:
+        return np.matmul(q, d[..., None])[..., 0]
+    return 0.5 * np.matmul(np.matmul(d[..., None, :], q), d[..., None])[..., 0, 0]
+
+
 class Quadratic:
     """g(x) = (x-c)' Q (x-c) / 2 with symmetric Q.
 
@@ -463,11 +474,10 @@ class Quadratic:
         return self.q.shape[0]
 
     def value(self, x: np.ndarray) -> float:
-        d = np.asarray(x, dtype=float) - self.c
-        return 0.5 * float(d @ self.q @ d)
+        return float(_quadratic_terms(self.q, self.c, x, grad=False))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.q @ (np.asarray(x, dtype=float) - self.c)
+        return _quadratic_terms(self.q, self.c, x, grad=True)
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:
@@ -562,16 +572,21 @@ class AgentFamily:
     once from RunSetup.objectives, and the solver and the diagnostics do
     every evaluation through it.
 
-    The batched route is one np.matmul over a stack that views the
-    members' own arrays, with no copy.  It is taken when every member is
+    The batched route calls the members' own kernel once, on a stack that
+    views their arrays without a copy.  It is taken when every member is
     exactly a Quadratic (not a subclass) whose Q is row i of one (m, n, n)
     array, as quadratic_family builds, or exactly a SigmoidLoss whose
     shards are equal-size consecutive row blocks of one feature matrix, as
     parse_libsvm(shard_seed=...) and shard(..., None) build.  Every other
     family, WithSquaredL2 members included, calls each member's grad and
-    value in agent order.  batched says which route this family takes.
-    Both routes give the members' own results bit for bit: the batched
-    forms keep each member's BLAS call and the order of every sum.
+    value in agent order; batched names the route.  Both routes give the
+    members' own results bit for bit.
+
+    The family keeps its last evaluation, keyed on the point's shape and
+    exact bytes (its members must not change): grad returns a copy of its
+    last gradients at the same point, and on the batched sigmoid route the
+    next grad at np.broadcast_to(x, (m, n)) reuses the sigmoid values of
+    value(x).  A run so reads the data once per iterate and once per mean.
     """
 
     def __init__(self, objectives) -> None:
@@ -590,6 +605,7 @@ class AgentFamily:
             if features is not None and labels is not None:
                 self._features, self._labels = features, labels
         self.batched = self._q is not None or self._features is not None
+        self._grad_key = self._grads = self._s_key = self._s = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -600,44 +616,32 @@ class AgentFamily:
 
     def grad(self, x_all: np.ndarray) -> np.ndarray:
         x_all = np.asarray(x_all, dtype=float)
+        key = (x_all.shape, x_all.tobytes())  # exact: -0.0 and NaN included
+        if key == self._grad_key:
+            return self._grads.copy()  # callers may write into their result
         if not self.batched:
-            grads = np.empty_like(x_all)
-            for i, obj in enumerate(self.members):
-                grads[i] = obj.grad(x_all[i])
-            return grads
-        if self._q is not None:
-            return np.matmul(self._q, (x_all - self._c)[:, :, None])[:, :, 0]
-        coeff = _sigmoid_terms(self._products(x_all), self._labels, slopes=True)
-        return np.matmul(self._features.transpose(0, 2, 1), coeff[:, :, None])[:, :, 0]
-
-    def gradient_gaps(self, x_all: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
-        """Row i is grad g_i(X[i]) - grad g_i(x_bar), for (m, n) X and (n,) x_bar.
-
-        The batched route makes two grad calls.  The loop route evaluates
-        each member at both points back to back, so a large shard is read
-        the second time while it is still in cache.
-        """
-        x_all = np.asarray(x_all, dtype=float)
-        if self.batched:
-            return self.grad(x_all) - self.grad(np.broadcast_to(x_bar, x_all.shape))
-        gaps = np.empty_like(x_all)
-        for i, obj in enumerate(self.members):
-            gaps[i] = obj.grad(x_all[i]) - obj.grad(x_bar)
-        return gaps
+            grads = np.array([obj.grad(x) for obj, x in zip(self.members, x_all)])
+        elif self._q is not None:
+            grads = _quadratic_terms(self._q, self._c, x_all, grad=True)
+        else:
+            if key == self._s_key:  # the kept sigmoid values become the slopes
+                s, self._s_key, self._s = self._s, None, None
+            else:
+                s = _sigmoid_values(self._features, self._labels, x_all)
+            grads = _sigmoid_grad(self._features, self._labels, s)
+        self._grad_key, self._grads = key, grads
+        return grads.copy()
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if not self.batched:
             return np.array([obj.value(x) for obj in self.members])
         if self._q is not None:
-            d = x - self._c
-            products = np.matmul(np.matmul(d[:, None, :], self._q), d[:, :, None])
-            return 0.5 * products[:, 0, 0]
-        products = self._products(np.broadcast_to(x, (len(self), x.size)))
-        return _sigmoid_terms(products, self._labels, slopes=False)
-
-    def _products(self, x_all: np.ndarray) -> np.ndarray:
-        return np.matmul(self._features, x_all[:, :, None])[:, :, 0]
+            return _quadratic_terms(self._q, self._c, x, grad=False)
+        x_all = np.broadcast_to(x, (len(self), x.size))
+        s = _sigmoid_values(self._features, self._labels, x_all)
+        self._s_key, self._s = (x_all.shape, x_all.tobytes()), s
+        return s.sum(axis=-1) / self._labels.shape[-1]
 
 
 def agent_family(objectives) -> AgentFamily:

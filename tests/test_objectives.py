@@ -543,6 +543,37 @@ def test_sigmoid_lipschitz_probe() -> None:
         assert lhs <= bound * np.linalg.norm(x - y) * (1 + 1e-8)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [3, 300])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_sigmoid_lipschitz_squares_row_blocks_bit_for_bit(order, n, extra) -> None:
+    # Shards one row shorter than, as long as and one row longer than a
+    # block; 300 features put each row's sum on numpy's pairwise path.
+    rows = objectives._SQUARE_ROWS + extra
+    rng = np.random.default_rng(rows * n)
+    features = rng.standard_normal((rows, n)) * rng.uniform(0.01, 100.0, (rows, 1))
+    features = np.asarray(features, order=order)
+    loss = SigmoidLoss(Dataset(features, rng.choice([-1.0, 1.0], rows)))
+    mean = float(np.mean(np.sum(features**2, axis=1)))
+    assert loss.lipschitz() == sigmoid_curvature_peak() * mean
+
+
+def test_sigmoid_lipschitz_squares_no_copy_of_a_long_shard() -> None:
+    rows, n = 8 * objectives._SQUARE_ROWS + 3, 20
+    rng = np.random.default_rng(6)
+    loss = SigmoidLoss(Dataset(rng.standard_normal((rows, n)), np.ones(rows)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.lipschitz()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # One squared block and the row sums, against 1.3 MB for a whole copy.
+    assert peak <= 8 * (objectives._SQUARE_ROWS * n + rows) + 10_000
+
+
 def test_quadratic_value_and_grad() -> None:
     quad = Quadratic(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
     x = np.array([2.0, 0.0])
@@ -682,7 +713,7 @@ def _assert_family_matches_loop(family, members, x_all, x) -> None:
     same = np.broadcast_to(x, (m, n))
     assert np.array_equal(family.grad(same), _loop_grads(members, same))
     gaps = _loop_grads(members, x_all) - _loop_grads(members, same)
-    assert np.array_equal(family.gradient_gaps(x_all, x), gaps)
+    assert np.array_equal(family.grad(x_all) - family.grad(same), gaps)
     assert np.array_equal(family.value(x), np.array([obj.value(x) for obj in members]))
     assert family.lipschitz() == max(obj.lipschitz() for obj in members)
 
@@ -731,7 +762,7 @@ def _assert_sigmoid_matches_the_formula(members, family, x_all, x_bar) -> None:
     grads = np.array([grad for _, grad in at_x])
     grads_at_bar = np.array([grad for _, grad in at_bar])
     assert family.grad(x_all).tobytes() == grads.tobytes()
-    gaps = family.gradient_gaps(x_all, x_bar)
+    gaps = family.grad(x_all) - family.grad(np.broadcast_to(x_bar, x_all.shape))
     assert gaps.tobytes() == (grads - grads_at_bar).tobytes()
     values = np.array([value for value, _ in at_bar])
     assert family.value(x_bar).tobytes() == values.tobytes()
@@ -807,6 +838,95 @@ def test_agent_family_matches_the_loop_at_workload_shapes(kind, m, rows, n) -> N
     assert family.batched
     x_all = rng.standard_normal((m, n))
     _assert_family_matches_loop(family, members, x_all, x_all.mean(axis=0))
+
+
+def _members(kind: str, m: int, n: int, seed: int) -> list:
+    """Batched quadratics, batched sigmoid shards or unequal (looped) shards."""
+    if kind == "quadratic":
+        return quadratic_family(m, n, seed)
+    rng = np.random.default_rng(seed)
+    count = m * int(rng.integers(1, 40)) + (m - 1 if kind == "unequal-shards" else 0)
+    data = Dataset(rng.standard_normal((count, n)), rng.choice([-1.0, 1.0], count))
+    return [SigmoidLoss(piece) for piece in shard(data, m, None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "equal-shards", "unequal-shards"]),
+    m=st.integers(1, 6),
+    n=st.integers(1, 5),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["grad", "grad at mean", "grad at tiled mean", "value"]),
+            st.integers(0, 2),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_agent_family_remembers_without_changing_a_result(kind, m, n, calls, seed):
+    # Any interleaving of the evaluations the solver and e make, on three
+    # points of which the third is the first with its zeros negated: every
+    # result is the bytes a fresh family gives, also after the caller has
+    # written into an earlier result.
+    members = _members(kind, m, n, seed)
+    family = AgentFamily(members)
+    assert family.batched == (kind != "unequal-shards" or m == 1)
+    rng = np.random.default_rng(seed + 1)
+    first = rng.choice([-1.0, 0.0, 0.5, 2.0], (m, n))
+    negated = np.where(first == 0.0, -0.0, first)
+    points = [first, rng.standard_normal((m, n)), negated]
+    for call, which, scribble in calls:
+        x_all = points[which]
+        x_bar = x_all.mean(axis=0)
+        if call == "value":
+            got, want = family.value(x_bar), AgentFamily(members).value(x_bar)
+        else:
+            if call == "grad at mean":
+                x_all = np.broadcast_to(x_bar, (m, n))
+            elif call == "grad at tiled mean":
+                x_all = np.tile(x_bar, (m, 1))
+            got, want = family.grad(x_all), AgentFamily(members).grad(x_all)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if scribble:
+            got[...] = np.nan
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "equal-shards", "unequal-shards"])
+def test_agent_family_reads_each_point_of_a_run_once(kind) -> None:
+    # A run evaluates grad(x), then e's grad(x) and grad(mean x), then the
+    # next row's value(mean x'): the repeats are remembered, so each
+    # iteration reads the features twice on the batched sigmoid route and
+    # calls each member's grad twice on the loop.
+    m, n, iterations = 4, 3, 5
+    members = _members(kind, m, n, 7)
+    family = AgentFamily(members)
+    member_calls = mock.patch.object(
+        type(members[0]), "grad", autospec=True, side_effect=type(members[0]).grad
+    )
+    products = mock.patch.object(
+        objectives, "_sigmoid_values", side_effect=objectives._sigmoid_values
+    )
+    rng = np.random.default_rng(8)
+    x_all = rng.standard_normal((m, n))
+    with member_calls as grads, products as passes:
+        family.value(x_all.mean(axis=0))
+        for _ in range(iterations):
+            family.grad(x_all)
+            family.grad(x_all)
+            family.grad(np.broadcast_to(x_all.mean(axis=0), (m, n)))
+            x_all = x_all + rng.standard_normal((m, n))
+            family.value(x_all.mean(axis=0))
+    if kind == "unequal-shards":
+        assert grads.call_count == 2 * m * iterations
+    else:
+        assert grads.call_count == 0
+    if kind == "equal-shards":
+        assert passes.call_count == 1 + 2 * iterations
+    if kind == "unequal-shards":  # a member's value and grad at a mean are two passes
+        assert passes.call_count == m * (1 + 3 * iterations)
 
 
 def test_agent_family_loops_over_what_it_cannot_stack() -> None:

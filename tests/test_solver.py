@@ -31,7 +31,11 @@ from oracles import metropolis_by_edges, trace_rows
 
 
 class _CountingNanObjective:
-    """Gradient turns to NaN on the nth call; value and L stay benign."""
+    """Gradient of ones turns to NaN on the nth call; value and L stay benign.
+
+    A gradient of ones moves the iterate at every step, so no point is
+    evaluated twice by a family that remembers its last gradients.
+    """
 
     def __init__(self, n: int, blow_at: int) -> None:
         self.n = n
@@ -45,7 +49,7 @@ class _CountingNanObjective:
         self.calls += 1
         if self.calls >= self.blow_at:
             return np.full(self.n, np.nan)
-        return np.zeros(self.n)
+        return np.ones(self.n)
 
     def lipschitz(self) -> float:
         return 1.0
@@ -339,9 +343,10 @@ def test_run_rejects_mismatched_sizes() -> None:
 
 
 def test_run_numerical_fault_carries_iteration() -> None:
-    # One agent, three grad calls per iteration (one in the step, two in
-    # the diagnostics); the seventh call is the step of iteration 3.
-    obj = _CountingNanObjective(n=2, blow_at=7)
+    # One agent, so x_bar is the iterate: the family evaluates the member
+    # once per iteration, in the step, and repeats that gradient for both
+    # of e's calls.  The third member call is the step of iteration 3.
+    obj = _CountingNanObjective(n=2, blow_at=3)
     setup = RunSetup(
         objectives=[obj],
         regularizer=Zero(2),
