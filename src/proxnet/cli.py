@@ -296,8 +296,8 @@ def build_problem(cfg: ExperimentConfig):
         # With m > 1 and the whole file, the parse writes each row into its
         # shard's place and shard cuts views of that one matrix, so the
         # peak is the dense matrix (43 MB for 100,000 covtype-shaped rows)
-        # plus a label and a row position per sample and one block of
-        # lines (4 MB).  A subsample is drawn in file order, and shard
+        # plus a label and a row position per sample and the arrays of one
+        # read (4 MB).  A subsample is drawn in file order, and shard
         # shuffles its rows with a copy.
         presorted = cfg.graph_m > 1 and cfg.data_subsample is None
         try:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -298,6 +300,20 @@ def test_parse_matches_token_loop_whatever_the_read_size(text, n_features, read,
         _assert_parses_like_token_loop(text, n_features)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    text=_libsvm_texts(),
+    n_features=st.none() | st.integers(0, 14),
+    block=st.sampled_from([1, 2, 3, BLOCK]),
+)
+def test_parse_fallback_alone_matches_token_loop(text, n_features, block) -> None:
+    # Every read goes to _parse_block, as one that the byte kernel refuses,
+    # so block boundaries fall between these short texts' lines.
+    refuse = mock.Mock(return_value=None)
+    with mock.patch.multiple(objectives, _convert_read=refuse, _BLOCK_LINES=block):
+        _assert_parses_like_token_loop(text, n_features)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -357,6 +373,127 @@ def test_parse_checks_every_line_before_it_allocates_the_matrix() -> None:
     text = "+1 2147483647:1\n" + "-1 1:1\n" * 9000 + "+1 x\n"
     with pytest.raises(ValueError, match="^line 9002: expected idx:val"):
         parse_libsvm(text)
+
+
+def _fallbacks(source, n_features=None) -> int:
+    """Blocks that _parse_block converted, in reads of source that the byte
+    kernel refused, after checking that source parses like the token loop."""
+    with mock.patch.object(
+        objectives, "_parse_block", wraps=objectives._parse_block
+    ) as fallback:
+        _assert_parses_like_token_loop(source, n_features)
+    return fallback.call_count
+
+
+def _covtype_text(rows: int, seed: int) -> str:
+    """covtype.binary-shaped LIBSVM text: labels {1, 2}, ten %.4f values in
+    [0.01, 1), then one of 4 and one of 40 one-hot columns set to 1."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for values in rng.uniform(0.01, 1.0, size=(rows, 10)).round(4):
+        fields = [f"{j}:{value:.4f}" for j, value in enumerate(values, start=1)]
+        fields += [f"{rng.integers(11, 15)}:1", f"{rng.integers(15, 55)}:1"]
+        lines.append(" ".join([str(rng.integers(1, 3)), *fields]))
+    return "\n".join(lines) + "\n"
+
+
+# A number the byte kernel converts: an optional sign, then at most
+# _FIELD_DIGITS digits with at most one point among them, leading zeros,
+# "5." and ".5" included.
+@st.composite
+def _plain_decimals(draw) -> str:
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    digits = draw(st.text("0123456789", min_size=1, max_size=objectives._FIELD_DIGITS))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is None:
+        return sign + digits
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+@st.composite
+def _plain_texts(draw) -> str:
+    labels = draw(
+        st.sampled_from([("+1", "-1"), ("1", "0"), ("2", "1.0"), ("1", "-0"), ("1", "-1")])
+    )
+    spaces = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [draw(st.sampled_from(labels))]
+        for idx in sorted(draw(st.sets(st.integers(1, 12), max_size=6))):
+            zeros = draw(st.sampled_from(["", "0", "00"]))
+            fields.append(f"{zeros}{idx}:{draw(_plain_decimals())}")
+        line = "".join(draw(spaces) + field for field in fields)
+        lines.append(line[draw(st.integers(0, 1)) :] + draw(st.sampled_from(["", " "])))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+    breaks = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=_plain_texts(),
+    n_features=st.none() | st.integers(0, 14),
+    read=st.integers(1, 64) | st.just(objectives._READ_CHARS),
+)
+def test_parse_kernel_matches_token_loop_on_plain_decimals(text, n_features, read):
+    with mock.patch.object(objectives, "_READ_CHARS", read):
+        assert _fallbacks(text, n_features) == 0
+
+
+@pytest.mark.parametrize(
+    "text, n_features, kernel",
+    [
+        # A field of 17 bytes (sign, point and 15 digits), and one of 18.
+        ("+1 1:-1.23456789012345 2:+12345678901234.\n", None, True),
+        ("+1 1:-1.234567890123456\n", None, False),
+        # 15 digits, and 16 (leading zeros count), with or without a point.
+        ("+1 1:123456789012345 2:999999999999999 3:1\n", None, True),
+        ("+1 1:1234567890123456\n", None, False),
+        ("+1 1:1.234567890123456\n", None, False),
+        ("+1 1:0.123456789012345\n", None, False),
+        ("-0 1:-0 2:+.5 3:5. 4:-.0 5:-0.0\n+1 1:1\n", None, True),
+        ("+1 007:0005.2500 010:-000.5 011:.0000001\n", None, True),
+        ("+1 1:0.5\r-1 2:1\r\r+1 3:2", None, True),
+        ("+1 1:0.5\r\n-1 2:1\r\r\n\r\n+1 3:2\n", None, True),
+        # The largest index takes the kernel; the dimension check refuses it.
+        ("+1 2147483647:1\n", 5, True),
+        ("+1 2147483648:1\n", 5, False),
+        ("+1 2:1 1:1\n", None, False),
+        ("+1 1:1 1:2\n", None, False),
+        ("+1 1:1 2:\n", None, False),
+        ("+1 +1:1\n", None, False),
+        ("+1 1.0:1\n", None, False),
+        ("+1 1:1-\n", None, False),
+        ("+1 1:1..\n", None, False),
+        ("+1 1:-\n", None, False),
+        ("+1 1:+.\n", None, False),
+        ("+1 1:1\x0b-1 1:1\n", None, False),
+        ("+1 1:1e3\n", None, False),
+    ],
+)
+def test_parse_kernel_takes_what_it_can_and_refuses_the_rest(text, n_features, kernel):
+    assert (_fallbacks(text, n_features) == 0) == kernel
+
+
+def test_parse_kernel_refuses_a_read_whose_last_line_is_bad() -> None:
+    good = "+1 1:0.5 3:2\n-1 2:0.25\n"
+    # Reads of len(good) + 7 characters: the bad line ends the first read,
+    # or, with no line break after it, the file.
+    for text in (good + "+1 4:x\n" + good, good + good + "+1 4:x"):
+        with mock.patch.object(objectives, "_READ_CHARS", len(good) + 7):
+            with pytest.raises(ValueError, match="^line [35]: bad feature '4:x'$"):
+                parse_libsvm(text)
+            assert _fallbacks(text) == 1
+    assert _fallbacks(good + good + good) == 0
+
+
+def test_parse_kernel_takes_the_shipped_and_covtype_shaped_files() -> None:
+    text = (Path(__file__).parents[1] / "data" / "synthetic.libsvm").read_text()
+    assert _fallbacks(text) == 0
+    assert _fallbacks(text, 123) == 0
+    assert _fallbacks(_covtype_text(3000, 0), 54) == 0
 
 
 def test_serialize_round_trip() -> None:
@@ -957,15 +1094,19 @@ def test_agent_family_views_the_shards_without_a_copy() -> None:
     rng = np.random.default_rng(4)
     data = Dataset(rng.standard_normal((20_000, 50)), rng.choice([-1.0, 1.0], 20_000))
     members = [SigmoidLoss(piece) for piece in shard(data, 10, None)]
+    AgentFamily(members)  # first-call imports and caches come before the count
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
         family = AgentFamily(members)
-        held = tracemalloc.get_traced_memory()[0] - start
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     assert family.batched
-    # The features take 8 MB; the family holds views of them.
+    # The features take 8 MB; the family holds views of them.  Only array
+    # data counts (numpy's tracemalloc domain): a dict of the interpreter's
+    # that happens to grow meanwhile is not the family's.
+    domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    held = sum(trace.size for trace in snapshot.filter_traces([domain]).traces)
     assert held < 100_000
 
 
@@ -1034,15 +1175,20 @@ def test_parse_in_shard_order_gives_shard_views(count, m, seed, block) -> None:
 
 
 def test_parse_and_shard_peak_stays_well_below_two_matrices(tmp_path) -> None:
-    # Measured on 4000 x 54 rows (14 features a row), and on those rows
-    # ten times over: parsing the path in shard order and cutting views
-    # peaks at 1.63 and 1.10 times the dense matrix, which is the matrix
-    # plus one read of the source, its lines and one block.  Parsing a
-    # text the caller had read, in file order, and letting shard gather
-    # copies of the rows peaked at 2.07 and 2.06 times.
+    # Measured on 4000 x 54 rows, and on those rows ten times over, of
+    # serialize_libsvm text (14 features of "1.0" a row) and of covtype-shaped
+    # "%.4f" text (12 a row): parsing the path in shard order and cutting
+    # views peaks at 1.67 and 1.10 (repr), 1.57 and 1.09 (covtype) times the
+    # dense matrix, which is the matrix plus one read of the source and the
+    # byte kernel's arrays for it.  Parsing a text the caller had read, in
+    # file order, and letting shard gather copies of the rows peaked at 2.07
+    # and 2.06 times.
     path = tmp_path / "data.libsvm"
-    text = serialize_libsvm(synthetic_classification(count=4000, n=54, seed=0))
-    for repeats, bound in [(1, 1.8), (10, 1.3)]:
+    texts = [
+        serialize_libsvm(synthetic_classification(count=4000, n=54, seed=0)),
+        _covtype_text(4000, 0),
+    ]
+    for text, (repeats, bound) in itertools.product(texts, [(1, 1.8), (10, 1.3)]):
         path.write_text(text * repeats, encoding="utf-8")
         tracemalloc.start()
         try:
