@@ -238,7 +238,7 @@ def _convert_read(text: str) -> tuple[int, list[tuple[np.ndarray, ...]]] | None:
     16 bytes, are read 8 at a time into one integer M < 2**53, which is
     divided by 10**f for its f decimals: the double that float() gives.
     """
-    if not text.isascii():
+    if not text.isascii() or len(text) > 2**31 - 2 * _PAD:  # int32 positions
         return None
     data = np.frombuffer(b" " * _PAD + text.encode("ascii") + b" ", dtype=np.uint8)
     number = (data - ord("+")) <= ord("9") - ord("+")  # a digit or "+,-./"
@@ -260,9 +260,10 @@ def _convert_read(text: str) -> tuple[int, list[tuple[np.ndarray, ...]]] | None:
     edges += 1
     starts, ends = edges[0::2].astype(np.int32), edges[1::2].astype(np.int32)
     del number, edges
-    digits = (ends - starts).astype(np.int8)
+    digits = ends - starts
     if digits.max(initial=0) > _FIELD_DIGITS + 2:  # with a sign and a point
         return None
+    digits = digits.astype(np.int8)  # narrowed only once it fits
     fields = starts.size
     # The first field of a read and each first field after a break are labels.
     label = np.zeros(fields, dtype=bool)

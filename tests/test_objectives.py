@@ -35,6 +35,7 @@ from oracles import (
     spectral_norm_power,
     two_branch_sigmoid,
 )
+from workloads import covtype_libsvm  # the benchmark's covtype-shaped text
 
 
 def _tiny_shard() -> Dataset:
@@ -385,18 +386,6 @@ def _fallbacks(source, n_features=None) -> int:
     return fallback.call_count
 
 
-def _covtype_text(rows: int, seed: int) -> str:
-    """covtype.binary-shaped LIBSVM text: labels {1, 2}, ten %.4f values in
-    [0.01, 1), then one of 4 and one of 40 one-hot columns set to 1."""
-    rng = np.random.default_rng(seed)
-    lines = []
-    for values in rng.uniform(0.01, 1.0, size=(rows, 10)).round(4):
-        fields = [f"{j}:{value:.4f}" for j, value in enumerate(values, start=1)]
-        fields += [f"{rng.integers(11, 15)}:1", f"{rng.integers(15, 55)}:1"]
-        lines.append(" ".join([str(rng.integers(1, 3)), *fields]))
-    return "\n".join(lines) + "\n"
-
-
 # A number the byte kernel converts: an optional sign, then at most
 # _FIELD_DIGITS digits with at most one point among them, leading zeros,
 # "5." and ".5" included.
@@ -448,6 +437,11 @@ def test_parse_kernel_matches_token_loop_on_plain_decimals(text, n_features, rea
         # A field of 17 bytes (sign, point and 15 digits), and one of 18.
         ("+1 1:-1.23456789012345 2:+12345678901234.\n", None, True),
         ("+1 1:-1.234567890123456\n", None, False),
+        # Fields of 258 and 257 bytes, which a length kept modulo 256 would
+        # take for fields of 2 and 1 bytes.
+        ("+1 1:1" + "0" * 256 + "5\n", None, False),
+        ("2" + "0" * 255 + "1 1:1\n", None, False),
+        ("+1 1" + "0" * 255 + "2:1\n", None, False),
         # 15 digits, and 16 (leading zeros count), with or without a point.
         ("+1 1:123456789012345 2:999999999999999 3:1\n", None, True),
         ("+1 1:1234567890123456\n", None, False),
@@ -493,7 +487,7 @@ def test_parse_kernel_takes_the_shipped_and_covtype_shaped_files() -> None:
     text = (Path(__file__).parents[1] / "data" / "synthetic.libsvm").read_text()
     assert _fallbacks(text) == 0
     assert _fallbacks(text, 123) == 0
-    assert _fallbacks(_covtype_text(3000, 0), 54) == 0
+    assert _fallbacks(covtype_libsvm(3000, 0), 54) == 0
 
 
 def test_serialize_round_trip() -> None:
@@ -1186,7 +1180,7 @@ def test_parse_and_shard_peak_stays_well_below_two_matrices(tmp_path) -> None:
     path = tmp_path / "data.libsvm"
     texts = [
         serialize_libsvm(synthetic_classification(count=4000, n=54, seed=0)),
-        _covtype_text(4000, 0),
+        covtype_libsvm(4000, 0),
     ]
     for text, (repeats, bound) in itertools.product(texts, [(1, 1.8), (10, 1.3)]):
         path.write_text(text * repeats, encoding="utf-8")
