@@ -54,23 +54,13 @@ class Dataset:
 _LABEL_FAMILIES = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
 """Supported raw label pairs (negative, positive), matched in this order."""
 
-_BLOCK_LINES = 256
-"""Lines that _parse_block converts at once, in a read that _convert_read refuses.
-
-The strings and lists of a block cost about 140-190 bytes per feature
-while it is converted: 0.4 MB for 256 covtype-shaped lines (12 features
-each) and 23 MB for 256 lines of 500 features, but 13 MB for 8192
-covtype-shaped lines and about 0.7 GB for 8192 lines of 500 features.
-Larger blocks do not parse faster.  Only one block's strings and arrays
-are alive at a time, whatever the size of the file.
-"""
-
 _READ_CHARS = 1 << 16
 """Characters that parse_libsvm reads at once.
 
 _convert_read's arrays for a read peak at about 10 bytes per character
 (0.7 MB), as int32 positions and 8-byte words per field that are dropped
-once used; a refused read costs its lines and one block instead.  On
+once used.  A refused read costs its lines and _parse_lines' lists of
+Python numbers instead: 0.3 to 0.6 MB, 5 to 10 bytes per character.  On
 100,000 covtype-shaped rows (2-vCPU VM, numpy 2.4), reads of 16 Ki
 characters took 1.6 times as long to parse, and reads of 256 Ki 4% less
 time for four times the arrays.
@@ -133,23 +123,25 @@ def parse_libsvm(
     them in, so shard(..., seed=None) can cut views without a copy.
 
     The source is read twice, _READ_CHARS characters at a time: once to
-    count the samples (and find the widest index, unless declared), then,
-    after the dense matrix is allocated, to convert each read and write its
-    samples straight into their rows.  _convert_read converts a read of
-    plain decimals whole, in numpy byte kernels with no Python object per
-    field.  A read it refuses (another form of number, a byte outside
-    ASCII, a malformed line) is split into lines and converted _BLOCK_LINES
-    at a time by _parse_block, the reference for the grammar; a block that
-    fails a check is walked line by line to name its first bad line.  Both
-    give the values of float() and int(), so which one converts a read
-    changes no result and no message.  A matrix too large to allocate is
-    reported after every other check.  Besides the matrix, the parse holds
-    a label and a row position per sample and one read with either the
-    kernel's arrays or its lines and one block.
+    count the samples and the lines of each read (and find the widest
+    index, unless declared), then, after the dense matrix is allocated, to
+    convert each read and write its samples straight into their rows.
+    _convert_read converts a read of plain decimals whole, in numpy byte
+    kernels with no Python object per field.  A read it refuses (another
+    form of number, a byte outside ASCII, a malformed line) is split into
+    lines and converted one token at a time by _parse_lines, the reference
+    for the grammar, which names the first bad line.  Both give the values
+    of float() and int(), so which one converts a read changes no result
+    and no message.  A matrix too large to allocate is reported after
+    every other check.  Besides the matrix, the parse holds a label and a
+    row position per sample, a line count per read and one read with
+    either the kernel's arrays or its lines and their numbers.
     """
     samples = width = 0
+    line_counts = []
     for text in _chunks(source):
         lines = text.splitlines()
+        line_counts.append(len(lines))
         samples += len(lines) - lines.count("") - sum(map(str.isspace, lines))
         if n_features is None:
             width = max(width, _widest_index(lines))
@@ -168,20 +160,18 @@ def parse_libsvm(
     raw_labels = np.empty(samples)
     seen: set[float] = set()  # in file order: of 0.0 and -0.0 it shows the first
     first = lineno = max_index = 0
-    for text in _chunks(source):
-        converted = _convert_read(text)
-        if converted is None:
-            lines = text.splitlines()
-            converted = len(lines), _blocks(lines, lineno)
-        read_lines, pieces = converted
-        for labels, counts, indices, values in pieces:
-            rows = position[first : first + labels.size]
-            raw_labels[rows] = labels
-            seen.update(labels.tolist())
-            max_index = max(max_index, int(indices.max(initial=0)))
-            if features is not None and max_index <= n:
-                features[np.repeat(rows, counts), indices - 1] = values
-            first += labels.size
+    for text, read_lines in zip(_chunks(source), line_counts):
+        parsed = _convert_read(text)
+        if parsed is None:
+            parsed = _parse_lines(text.splitlines(), lineno)
+        labels, counts, indices, values = parsed
+        rows = position[first : first + labels.size]
+        raw_labels[rows] = labels
+        seen.update(labels.tolist())
+        max_index = max(max_index, int(indices.max(initial=0)))
+        if features is not None and max_index <= n:
+            features[np.repeat(rows, counts), indices - 1] = values
+        first += labels.size
         lineno += read_lines
 
     for negative, positive in _LABEL_FAMILIES:
@@ -225,18 +215,18 @@ def _reads(source: str | os.PathLike):
             yield source[start : start + _READ_CHARS]
 
 
-def _convert_read(text: str) -> tuple[int, list[tuple[np.ndarray, ...]]] | None:
-    """(lines, [(labels, counts, indices, values)]) of a read, or None.
+def _convert_read(text: str) -> tuple[np.ndarray, ...] | None:
+    """(labels, counts, indices, values) of a read, or None.
 
     A numpy kernel over the read's bytes, with no Python object per field.
     It takes a read whole or not at all.  It refuses one with a byte other
     than a digit, "+-.:", space, tab, LF or CR; a field of more than
     _FIELD_DIGITS digits or not of the form [+-]digits[.digits]; an index
     with a sign or a point, or outside 1 to 2**31 - 1; or a line that breaks
-    the grammar of parse_libsvm.  _parse_block reads a refused read instead,
-    and _first_error names its bad line.  A field's digits, right-aligned in
-    16 bytes, are read 8 at a time into one integer M < 2**53, which is
-    divided by 10**f for its f decimals: the double that float() gives.
+    the grammar of parse_libsvm.  _parse_lines reads a refused read instead
+    and names its bad line.  A field's digits, right-aligned in 16 bytes,
+    are read 8 at a time into one integer M < 2**53, which is divided by
+    10**f for its f decimals: the double that float() gives.
     """
     if not text.isascii() or len(text) > 2**31 - 2 * _PAD:  # int32 positions
         return None
@@ -249,10 +239,6 @@ def _convert_read(text: str) -> tuple[int, list[tuple[np.ndarray, ...]]] | None:
         (data == ord(",")) | (data == ord("/"))
     ):
         return None
-    lines = breaks.size + (text[-1:] not in ("", "\n", "\r"))
-    if breaks.size > 1:  # a CR LF pair is one line break
-        pairs = (data[breaks[:-1]] == ord("\r")) & (data[breaks[1:]] == ord("\n"))
-        lines -= int(np.count_nonzero(pairs & (np.diff(breaks) == 1)))
     # Fields are the runs of number bytes, [start, end); the pad bounds each
     # run.  Arrays are dropped once used, which keeps the peak near 10 bytes
     # per character of the read.
@@ -344,7 +330,7 @@ def _convert_read(text: str) -> tuple[int, list[tuple[np.ndarray, ...]]] | None:
     numbers[pointed] = fractions
     del fractions
     numbers[negative] *= -1.0
-    return lines, [(np.take(numbers, heads), counts, indices, np.take(numbers, keys + 1))]
+    return np.take(numbers, heads), counts, indices, np.take(numbers, keys + 1)
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -356,20 +342,6 @@ def _eight_digits(words: np.ndarray) -> np.ndarray:
         words *= scale
         words >>= shift
     return words
-
-
-def _blocks(lines: list[str], lineno: int):
-    """_parse_block's result for each _BLOCK_LINES of lines, in turn.
-
-    The first malformed line raises ValueError with its line number in the
-    file, where lineno lines come before these.
-    """
-    for start in range(0, len(lines), _BLOCK_LINES):
-        block = lines[start : start + _BLOCK_LINES]
-        parsed = _parse_block(block)
-        if parsed is None:
-            raise ValueError(_first_error(block, lineno + start + 1))
-        yield parsed
 
 
 def _increasing(indices: np.ndarray, counts: np.ndarray) -> bool:
@@ -389,75 +361,51 @@ def _widest_index(lines: list[str]) -> int:
     try:
         indices[:] = last
     except (ValueError, OverflowError):
-        return 0  # _parse_block rejects that line too
+        return 0  # _parse_lines rejects that line too
     return int(indices.max(initial=0))
 
 
-def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
-    """(labels, counts, indices, values) of a block of lines, or None.
+def _parse_lines(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
+    """(labels, counts, indices, values) of lines, one Python token at a time.
 
     counts holds the features of each sample, and indices and values those
-    of every sample in turn.  None when any line breaks the grammar of
-    parse_libsvm.
+    of every sample in turn.  The first malformed line raises ValueError
+    with its line number in the file, where lineno lines come before these.
     """
-    samples = [parts for parts in (raw.split(None, 1) for raw in lines) if parts]
-    text = " ".join([parts[1] for parts in samples if len(parts) == 2])
-    # Whitespace tokens, not colons, so that "1 :2" and "1: 2" are rejected.
-    tokens = len(text.split())
-    # With each colon as its own piece, well-formed features read
-    # idx : val idx : val ...; a token with no colon, two colons or an
-    # empty side shifts a colon off every third place or changes a count.
-    pieces = text.replace(":", " : ").split()
-    if not (
-        text.count(":") == tokens
-        and len(pieces) == 3 * tokens
-        and pieces[1::3].count(":") == tokens
-    ):
-        return None
-    labels = np.empty(len(samples))
-    indices = np.empty(tokens, dtype=np.int32)
-    values = np.empty(tokens)
-    try:
-        labels[:] = [parts[0] for parts in samples]
-        values[:] = pieces[2::3]
-        indices[:] = pieces[0::3]
-    except (ValueError, OverflowError):  # OverflowError: past the int32 range
-        return None
-    counts = [parts[1].count(":") if len(parts) == 2 else 0 for parts in samples]
-    counts = np.array(counts, dtype=np.intp)
-    if not _increasing(indices, counts):
-        return None
-    return labels, counts, indices, values
-
-
-def _first_error(lines: list[str], first_lineno: int) -> str:
-    """The message for the first line of a rejected block that is malformed."""
-    for lineno, raw in enumerate(lines, start=first_lineno):
+    labels, counts, indices, values = [], [], [], []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         tokens = raw.split()
         if not tokens:
             continue
         try:
-            float(tokens[0])
+            labels.append(float(tokens[0]))
         except ValueError:
-            return f"line {lineno}: bad label {tokens[0]!r}"
+            raise ValueError(f"line {lineno}: bad label {tokens[0]!r}") from None
         prev = 0
         for token in tokens[1:]:
             idx_str, sep, val_str = token.partition(":")
             if not sep:
-                return f"line {lineno}: expected idx:val, got {token!r}"
+                raise ValueError(f"line {lineno}: expected idx:val, got {token!r}")
             try:
                 idx = int(idx_str)
-                float(val_str)
+                values.append(float(val_str))
             except ValueError:
-                return f"line {lineno}: bad feature {token!r}"
+                raise ValueError(f"line {lineno}: bad feature {token!r}") from None
             if idx < 1:
-                return f"line {lineno}: index {idx} is not 1-based"
+                raise ValueError(f"line {lineno}: index {idx} is not 1-based")
             if idx > 2**31 - 1:
-                return f"line {lineno}: index {idx} exceeds {2**31 - 1}"
+                raise ValueError(f"line {lineno}: index {idx} exceeds {2**31 - 1}")
             if idx <= prev:
-                return f"line {lineno}: index {idx} not strictly increasing"
+                raise ValueError(f"line {lineno}: index {idx} not strictly increasing")
+            indices.append(idx)
             prev = idx
-    raise AssertionError("a rejected block has no malformed line")
+        counts.append(len(tokens) - 1)
+    return (
+        np.array(labels, dtype=float),
+        np.array(counts, dtype=np.intp),
+        np.array(indices, dtype=np.int32),
+        np.array(values, dtype=float),
+    )
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

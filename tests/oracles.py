@@ -303,8 +303,9 @@ _LIBSVM_LABEL_FAMILIES = (
 def parse_libsvm_by_token(source, n_features: int | None = None):
     """(features, labels) of LIBSVM text, one Python token at a time.
 
-    Same grammar, label normalization and error messages as the package's
-    block parser; the arrays still go through Dataset's own checks there.
+    Same grammar, label normalization and error messages as
+    proxnet.objectives.parse_libsvm; Dataset, not this oracle, checks the
+    arrays it returns.
     """
     if isinstance(source, str):
         lines = source.splitlines()

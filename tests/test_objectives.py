@@ -158,40 +158,65 @@ def _with(lines: list[str], changes: dict[int, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-BLOCK = objectives._BLOCK_LINES
+LINES = 256  # lines of the first read in the read-boundary texts below
+
+
+def _first_read(text: str) -> int:
+    """_READ_CHARS that ends the first read of text after LINES lines."""
+    return sum(map(len, text.splitlines(keepends=True)[:LINES]))
+
+
+def _refused(text: str) -> None:
+    """_convert_read's answer to every read here, so _parse_lines takes it."""
+    return None
+
+
+# Both routes of a read: the byte kernel, and _parse_lines for every read.
+_ROUTES = [objectives._convert_read, _refused]
 
 
 @pytest.mark.parametrize(
     "text, samples",
     [
-        (_with(_rows(BLOCK), {}), BLOCK),
-        (_with(_rows(BLOCK + 1), {}), BLOCK + 1),
-        (_with(_rows(2 * BLOCK), {BLOCK - 1: ""}), 2 * BLOCK - 1),
-        (_with(_rows(2 * BLOCK), {BLOCK: " \t"}), 2 * BLOCK - 1),
-        (_with(_rows(2 * BLOCK), {BLOCK - 1: "-1", BLOCK: "+1"}), 2 * BLOCK),
+        (_with(_rows(LINES), {}), LINES),
+        (_with(_rows(LINES + 1), {}), LINES + 1),
+        (_with(_rows(2 * LINES), {LINES - 1: ""}), 2 * LINES - 1),
+        (_with(_rows(2 * LINES), {LINES: " \t"}), 2 * LINES - 1),
+        (_with(_rows(2 * LINES), {LINES - 1: "-1", LINES: "+1"}), 2 * LINES),
     ],
     ids=[
-        "one block",
-        "one block plus one line",
-        "blank line ends a block",
-        "blank line starts a block",
-        "label-only lines meet at a block boundary",
+        "one read",
+        "one read plus one line",
+        "blank line ends a read",
+        "blank line starts a read",
+        "label-only lines meet at a read boundary",
     ],
 )
-def test_parse_across_block_boundaries(text, samples) -> None:
-    data = parse_libsvm(text)
-    assert data.count == samples
-    _assert_parses_like_token_loop(text)
-    _assert_parses_like_token_loop(text, 9)
+def test_parse_across_read_boundaries(text, samples) -> None:
+    for route in _ROUTES:
+        with mock.patch.multiple(
+            objectives, _READ_CHARS=_first_read(text), _convert_read=route
+        ):
+            assert parse_libsvm(text).count == samples
+            _assert_parses_like_token_loop(text)
+            _assert_parses_like_token_loop(text, 9)
 
 
 def test_parse_error_lines_are_numbered_in_the_whole_file() -> None:
-    text = _with(_rows(BLOCK + 3), {BLOCK: "+1 2:1 2:1"})
-    with pytest.raises(ValueError, match=f"^line {BLOCK + 1}: index 2 not strictly"):
-        parse_libsvm(text)
-    text = _with(_rows(BLOCK + 3), {BLOCK - 1: "+1 0:1"})
-    with pytest.raises(ValueError, match=f"^line {BLOCK}: index 0 is not 1-based"):
-        parse_libsvm(text)
+    # The bad line starts the second read, or ends the first.
+    for route, (change, message) in itertools.product(
+        _ROUTES,
+        [
+            ({LINES: "+1 2:1 2:1"}, f"^line {LINES + 1}: index 2 not strictly"),
+            ({LINES - 1: "+1 0:1"}, f"^line {LINES}: index 0 is not 1-based"),
+        ],
+    ):
+        text = _with(_rows(LINES + 3), change)
+        with mock.patch.multiple(
+            objectives, _READ_CHARS=_first_read(text), _convert_read=route
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_libsvm(text)
 
 
 def test_parse_rejects_an_index_past_int32_at_its_line() -> None:
@@ -276,15 +301,9 @@ def _libsvm_texts(draw) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    text=_libsvm_texts(),
-    n_features=st.none() | st.integers(0, 14),
-    block=st.sampled_from([1, 2, 3, BLOCK]),
-)
-def test_parse_matches_token_loop(text, n_features, block) -> None:
-    # Small blocks put block boundaries inside these short texts.
-    with mock.patch.object(objectives, "_BLOCK_LINES", block):
-        _assert_parses_like_token_loop(text, n_features)
+@given(text=_libsvm_texts(), n_features=st.none() | st.integers(0, 14))
+def test_parse_matches_token_loop(text, n_features) -> None:
+    _assert_parses_like_token_loop(text, n_features)
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,12 +311,11 @@ def test_parse_matches_token_loop(text, n_features, block) -> None:
     text=_libsvm_texts(),
     n_features=st.none() | st.integers(0, 14),
     read=st.integers(1, 7),
-    block=st.sampled_from([1, 3, BLOCK]),
 )
-def test_parse_matches_token_loop_whatever_the_read_size(text, n_features, read, block):
+def test_parse_matches_token_loop_whatever_the_read_size(text, n_features, read):
     # Reads of 1 to 7 characters cut these short texts everywhere,
     # between the "\r" and "\n" of a line break too.
-    with mock.patch.multiple(objectives, _READ_CHARS=read, _BLOCK_LINES=block):
+    with mock.patch.object(objectives, "_READ_CHARS", read):
         _assert_parses_like_token_loop(text, n_features)
 
 
@@ -305,13 +323,12 @@ def test_parse_matches_token_loop_whatever_the_read_size(text, n_features, read,
 @given(
     text=_libsvm_texts(),
     n_features=st.none() | st.integers(0, 14),
-    block=st.sampled_from([1, 2, 3, BLOCK]),
+    read=st.integers(1, 7),
 )
-def test_parse_fallback_alone_matches_token_loop(text, n_features, block) -> None:
-    # Every read goes to _parse_block, as one that the byte kernel refuses,
-    # so block boundaries fall between these short texts' lines.
-    refuse = mock.Mock(return_value=None)
-    with mock.patch.multiple(objectives, _convert_read=refuse, _BLOCK_LINES=block):
+def test_parse_fallback_alone_matches_token_loop(text, n_features, read) -> None:
+    # Every read goes to _parse_lines, as one that the byte kernel refuses,
+    # and short reads give it lines that start anywhere in the file.
+    with mock.patch.multiple(objectives, _READ_CHARS=read, _convert_read=_refused):
         _assert_parses_like_token_loop(text, n_features)
 
 
@@ -377,10 +394,10 @@ def test_parse_checks_every_line_before_it_allocates_the_matrix() -> None:
 
 
 def _fallbacks(source, n_features=None) -> int:
-    """Blocks that _parse_block converted, in reads of source that the byte
-    kernel refused, after checking that source parses like the token loop."""
+    """Reads of source that the byte kernel refused and _parse_lines
+    converted, after checking that source parses like the token loop."""
     with mock.patch.object(
-        objectives, "_parse_block", wraps=objectives._parse_block
+        objectives, "_parse_lines", wraps=objectives._parse_lines
     ) as fallback:
         _assert_parses_like_token_loop(source, n_features)
     return fallback.call_count
@@ -483,11 +500,26 @@ def test_parse_kernel_refuses_a_read_whose_last_line_is_bad() -> None:
     assert _fallbacks(good + good + good) == 0
 
 
+def _seventeen_digits(text: str) -> str:
+    """text with each value written as %.17g, too many digits for the kernel."""
+    lines = []
+    for label, *fields in map(str.split, text.splitlines()):
+        pairs = (field.partition(":") for field in fields)
+        lines.append(" ".join([label] + [f"{i}:{float(v):.17g}" for i, _, v in pairs]))
+    return "\n".join(lines) + "\n"
+
+
 def test_parse_kernel_takes_the_shipped_and_covtype_shaped_files() -> None:
     text = (Path(__file__).parents[1] / "data" / "synthetic.libsvm").read_text()
     assert _fallbacks(text) == 0
     assert _fallbacks(text, 123) == 0
-    assert _fallbacks(covtype_libsvm(3000, 0), 54) == 0
+    covtype = covtype_libsvm(3000, 0)
+    assert _fallbacks(covtype, 54) == 0
+    # Every read of the %.17g copy goes to _parse_lines.
+    long = _seventeen_digits(covtype)
+    with mock.patch.object(objectives, "_READ_CHARS", 4096):
+        reads = [read for read in objectives._chunks(long) if read]
+        assert _fallbacks(long, 54) == len(reads) > 1
 
 
 def test_serialize_round_trip() -> None:
@@ -1151,13 +1183,11 @@ def test_shard_determinism_and_edges() -> None:
     count=st.integers(2, 40),
     m=st.integers(2, 40),
     seed=st.integers(0, 2**16),
-    block=st.sampled_from([1, 3, BLOCK]),
 )
-def test_parse_in_shard_order_gives_shard_views(count, m, seed, block) -> None:
+def test_parse_in_shard_order_gives_shard_views(count, m, seed) -> None:
     m = min(m, count)
     text = serialize_libsvm(synthetic_classification(count=count, n=5, seed=1))
-    with mock.patch.object(objectives, "_BLOCK_LINES", block):
-        presorted = parse_libsvm(text, shard_seed=seed)
+    presorted = parse_libsvm(text, shard_seed=seed)
     views = shard(presorted, m=m, seed=None)
     copies = shard(parse_libsvm(text), m=m, seed=seed)
     assert len(views) == len(copies) == m
@@ -1170,17 +1200,20 @@ def test_parse_in_shard_order_gives_shard_views(count, m, seed, block) -> None:
 
 def test_parse_and_shard_peak_stays_well_below_two_matrices(tmp_path) -> None:
     # Measured on 4000 x 54 rows, and on those rows ten times over, of
-    # serialize_libsvm text (14 features of "1.0" a row) and of covtype-shaped
-    # "%.4f" text (12 a row): parsing the path in shard order and cutting
-    # views peaks at 1.67 and 1.10 (repr), 1.57 and 1.09 (covtype) times the
-    # dense matrix, which is the matrix plus one read of the source and the
-    # byte kernel's arrays for it.  Parsing a text the caller had read, in
-    # file order, and letting shard gather copies of the rows peaked at 2.07
-    # and 2.06 times.
+    # serialize_libsvm text (14 features of "1.0" a row), of covtype-shaped
+    # "%.4f" text (12 a row) and of its "%.17g" copy, whose every read goes
+    # to _parse_lines: parsing the path in shard order and cutting views
+    # peaks at 1.67 and 1.10 (repr), 1.57 and 1.09 (covtype), 1.42 and 1.08
+    # (%.17g) times the dense matrix, which is the matrix plus one read of
+    # the source and the byte kernel's arrays or _parse_lines' lists for it.
+    # Parsing a text the caller had read, in file order, and letting shard
+    # gather copies of the rows peaked at 2.07 and 2.06 times.
     path = tmp_path / "data.libsvm"
+    covtype = covtype_libsvm(4000, 0)
     texts = [
         serialize_libsvm(synthetic_classification(count=4000, n=54, seed=0)),
-        covtype_libsvm(4000, 0),
+        covtype,
+        _seventeen_digits(covtype),
     ]
     for text, (repeats, bound) in itertools.product(texts, [(1, 1.8), (10, 1.3)]):
         path.write_text(text * repeats, encoding="utf-8")
