@@ -11,7 +11,7 @@ at least `at_least`, `finite`), and _validate_config checks every key
 against its declaration before the rules that relate two keys.  The only
 environment override is OUTPUT_DIR, which relocates relative output paths.
 
-Exit codes: 0 success, 1 failed check (validate-graph, prox-check),
+Exit codes: 0 success, 1 failed check (validate-graph only),
 2 config error or, for run, a schedule that is not window-connected
 (before the first iteration), 3 step-size violation, 4 numerical fault.
 A run that faults at iteration k >= 1 first writes the k trace rows before
@@ -46,7 +46,6 @@ from .graphs import (
 )
 from .objectives import (
     SigmoidLoss,
-    WithSquaredL2,
     parse_libsvm,
     quadratic_family,
     shard,
@@ -54,8 +53,6 @@ from .objectives import (
 )
 from .regularizers import make_regularizer
 from .solver import NumericalFault, RunSetup, StepSizeError, run
-
-PROX_CHECK_TOLERANCE = 1e-6
 
 
 class ConfigError(Exception):
@@ -98,9 +95,6 @@ class ExperimentConfig:
     problem_seed: int = _key(0, at_least=0)
     problem_lambda1: float = _key(5e-4, at_least=0.0, finite=True)
     problem_lambda2: float = _key(5e-4, at_least=0.0, finite=True)
-    problem_reg_split: str = _key(
-        "h-carries-l2", choices=("h-carries-l2", "g-carries-l2")
-    )
     data_path: str | None = None
     data_subsample: int | None = _key(None, at_least=1)
     data_n_override: int | None = _key(None, at_least=1)
@@ -191,8 +185,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"reg.lo = {cfg.reg_lo!r}, reg.hi = {cfg.reg_hi!r}: {exc}"
             ) from None
-    if isinstance(cfg.algo_alpha, float) and not cfg.algo_alpha > 0:
-        raise ConfigError(f"algo.alpha must be positive, got {cfg.algo_alpha}")
+    alpha = cfg.algo_alpha
+    if isinstance(alpha, float) and not (alpha > 0 and math.isfinite(1.0 / alpha)):
+        raise ConfigError(
+            f"algo.alpha must be positive with a finite reciprocal, got {alpha}"
+        )
     if not 0 < cfg.algo_safety < 1:
         raise ConfigError(f"algo.safety must be in (0, 1), got {cfg.algo_safety}")
     if cfg.graph_kind == "matchings" and cfg.graph_B not in (None, 2):
@@ -209,14 +206,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("graph.kind = file requires graph.path")
     if cfg.problem_kind == "sigmoid" and cfg.data_path is None:
         raise ConfigError("problem.kind = sigmoid requires data.path")
-    if cfg.problem_reg_split == "g-carries-l2" and cfg.reg_kind in (
-        "elastic-net",
-        "squared-l2",
-    ):
-        raise ConfigError(
-            f"reg.kind = {cfg.reg_kind} puts lambda2 ||x||^2 in h, but "
-            "problem.reg_split = g-carries-l2 already puts it in the smooth part"
-        )
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -330,29 +319,18 @@ def build_problem(cfg: ExperimentConfig):
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        losses = [SigmoidLoss(piece) for piece in shards]
+        objectives = [SigmoidLoss(piece) for piece in shards]
         n = dataset.n
-        # h defaults to the elastic net, less the ridge that g carries.
-        g_l2 = cfg.problem_reg_split == "g-carries-l2"
-        default_kind = "l1" if g_l2 else "elastic-net"
+        default_kind = "elastic-net"
     else:
         n = cfg.problem_n
         try:
-            losses = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
+            objectives = quadratic_family(cfg.graph_m, n, cfg.problem_seed)
         except MemoryError as exc:
             raise ConfigError(f"problem.n = {n} is too large: {exc}") from None
         default_kind = "zero"
-    objectives = losses
-    if cfg.problem_reg_split == "g-carries-l2":
-        objectives = [WithSquaredL2(obj, cfg.problem_lambda2) for obj in losses]
     worst = max(obj.lipschitz() for obj in objectives)
     if not math.isfinite(worst):
-        if math.isfinite(max(obj.lipschitz() for obj in losses)):
-            raise ConfigError(
-                f"problem.lambda2 = {cfg.problem_lambda2!r} in the smooth "
-                "part (problem.reg_split = g-carries-l2) gives the "
-                f"non-finite Lipschitz constant L = {worst!r}"
-            )
         raise ConfigError(
             f"data file {cfg.data_path} gives the non-finite Lipschitz "
             f"constant L = {worst!r}"
@@ -410,11 +388,11 @@ def _auto_alpha(safety: float, lipschitz: float) -> float | None:
     if lipschitz <= 0:
         return None
     alpha = safety / lipschitz
-    if not (alpha > 0 and math.isfinite(alpha)):
-        # A subnormal safety rounds it to 0: blame the key, not the step.
+    if not (alpha > 0 and math.isfinite(alpha) and math.isfinite(1.0 / alpha)):
+        # A subnormal safety rounds it to 0 or a subnormal: blame the key.
         raise ConfigError(
             f"algo.safety = {safety!r} gives the automatic step {alpha!r} "
-            f"at L = {lipschitz!r}; it must be a positive finite number"
+            f"at L = {lipschitz!r}; it and its reciprocal must be finite and positive"
         )
     return alpha
 
@@ -502,52 +480,6 @@ def cmd_validate_graph(args) -> int:
     return 0
 
 
-def _golden_minimize(func, lo: float, hi: float, width: float = 1e-9) -> float:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - ratio * (hi - lo)
-    d = lo + ratio * (hi - lo)
-    fc, fd = func(c), func(d)
-    while hi - lo > width:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = func(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = func(d)
-    return 0.5 * (lo + hi)
-
-
-def cmd_prox_check(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        v = float(rng.uniform(-5.0, 5.0))
-        alpha = float(rng.uniform(0.05, 3.0))
-        lam1 = float(rng.uniform(0.0, 2.0))
-        lam2 = float(rng.uniform(0.0, 2.0))
-        if args.kind == "box":
-            # The indicator is zero on the box, so search the box itself.
-            lo = float(rng.uniform(-2.0, -0.1))
-            hi = float(rng.uniform(0.1, 2.0))
-        else:
-            span = 10.0 * alpha * (lam1 + 2.0 * lam2 * abs(v) + 1.0)
-            lo, hi = v - span, v + span
-        reg = make_regularizer(args.kind, 1, lam1=lam1, lam2=lam2, lo=lo, hi=hi)
-        exact = float(reg.prox(np.array([v]), alpha)[0])
-        reference = _golden_minimize(
-            lambda z: reg.value(np.array([z])) + (z - v) ** 2 / (2.0 * alpha), lo, hi
-        )
-        worst = max(worst, abs(exact - reference))
-    print(f"kind={args.kind} trials={args.trials} max_deviation={worst!r}")
-    return 0 if worst < PROX_CHECK_TOLERANCE else 1
-
-
 def cmd_lipschitz(args) -> int:
     cfg = load_config(args.config)
     objectives, _reg, _n, _prov = build_problem(cfg)
@@ -581,13 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     valp = sub.add_parser("validate-graph", help="check a schedule config")
     valp.add_argument("--config", required=True)
     valp.set_defaults(handler=cmd_validate_graph)
-
-    proxp = sub.add_parser("prox-check", help="prox vs 1-D search oracle")
-    kinds = _FIELDS["reg.kind"].metadata["choices"]
-    proxp.add_argument("--kind", required=True, choices=kinds)
-    proxp.add_argument("--trials", type=int, default=1000)
-    proxp.add_argument("--seed", type=int, default=0)
-    proxp.set_defaults(handler=cmd_prox_check)
 
     lipp = sub.add_parser("lipschitz", help="print per-agent constants")
     lipp.add_argument("--config", required=True)

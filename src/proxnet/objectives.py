@@ -621,9 +621,9 @@ class Quadratic:
 class WithSquaredL2:
     """Moves a lam2 ||x||^2 ridge term into the smooth part.
 
-    The default treats the squared-norm penalty as part of the shared
-    regularizer; this wrapper supports the alternative split where it
-    rides along with the local loss.
+    A library wrapper (acceptance criterion 3) that no config reaches: the
+    CLI always puts lam2 ||x||^2 in the shared regularizer h.  Here the
+    ridge rides along with the local loss instead.
     """
 
     def __init__(self, base, lam2: float) -> None:

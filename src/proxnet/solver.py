@@ -179,12 +179,15 @@ def run(setup: RunSetup) -> RunTrace:
     lipschitz = family.lipschitz()
     if not math.isfinite(lipschitz):
         raise ValueError(f"Lipschitz constant L = {lipschitz!r} is not finite")
-    if lipschitz > 0 and not 0 < alpha < 1.0 / lipschitz:
+    # The certificates divide by alpha, so a subnormal step is refused.
+    if not (alpha > 0 and math.isfinite(1.0 / alpha)):
+        raise StepSizeError(
+            f"step size must be positive with a finite reciprocal, got {alpha}"
+        )
+    if lipschitz > 0 and not alpha < 1.0 / lipschitz:
         raise StepSizeError(
             f"step size {alpha} violates alpha < 1/L = {1.0 / lipschitz}"
         )
-    if lipschitz == 0 and not alpha > 0:
-        raise StepSizeError(f"step size must be positive, got {alpha}")
     validate_schedule(schedule)
 
     _check_finite(init, 0, "initial point")

@@ -25,9 +25,7 @@ from proxnet.objectives import (
     AgentFamily,
     Quadratic,
     SigmoidLoss,
-    WithSquaredL2,
     parse_libsvm,
-    quadratic_family,
     serialize_libsvm,
     shard,
     subsample,
@@ -45,7 +43,6 @@ problem.n = 7
 problem.seed = 3
 problem.lambda1 = 0.001
 problem.lambda2 = 0.002
-problem.reg_split = g-carries-l2
 data.path = data.libsvm
 data.subsample = 12
 data.n_override = 9
@@ -164,6 +161,8 @@ def test_config_parse_errors_carry_line_numbers(text, fragment, line):
         "algo.tol = nan\n",
         "data.n_override = 0\n",
         "data.n_override = -2\n",
+        "algo.alpha = 5e-324\n",
+        "algo.alpha = 1e-320\n",
     ],
 )
 def test_config_validation_rejects(text):
@@ -172,10 +171,10 @@ def test_config_validation_rejects(text):
 
 
 def test_config_language_is_pinned():
-    # The 27 keys in dump order; renaming a field must not change them.
+    # The 26 keys in dump order; renaming a field must not change them.
     keys = """
         problem.kind problem.n problem.seed problem.lambda1 problem.lambda2
-        problem.reg_split data.path data.subsample data.n_override reg.kind
+        data.path data.subsample data.n_override reg.kind
         reg.lo reg.hi graph.kind graph.m graph.B graph.seed graph.path
         algo.alpha algo.safety algo.max_iter algo.tol algo.early_stop
         algo.init algo.init_scale algo.seed output.trace output.snapshot_every
@@ -289,36 +288,6 @@ def test_build_problem_reg_override_uses_problem_penalties():
     assert reg == L1(2, 0.25)
 
 
-def test_quadratic_problems_carry_the_ridge_in_g(tmp_path, capsys):
-    base = (
-        "problem.kind = quadratic\nproblem.n = 3\ngraph.m = 4\nproblem.seed = 2\n"
-        "problem.reg_split = g-carries-l2\n"
-    )
-    objectives, reg, _n, _prov = build_problem(
-        parse_config(base + "problem.lambda2 = 5\n")
-    )
-    assert reg == Zero(3)
-    assert all(isinstance(obj, WithSquaredL2) for obj in objectives)
-    for obj, quad in zip(objectives, quadratic_family(4, 3, 2)):
-        assert obj.lam2 == 5.0
-        assert obj.lipschitz() == quad.lipschitz() + 10.0
-    summaries = []
-    for lam2 in ("0", "5"):
-        conf = tmp_path / f"ridge-{lam2}.conf"
-        trace = tmp_path / f"ridge-{lam2}.csv"
-        conf.write_text(base + f"problem.lambda2 = {lam2}\noutput.trace = {trace}\n")
-        assert cli.main(["run", "--config", str(conf)]) == 0
-        summaries.append(capsys.readouterr().out)
-    assert (tmp_path / "ridge-0.csv").read_bytes() != (
-        tmp_path / "ridge-5.csv"
-    ).read_bytes()
-    norm = max(quad.lipschitz() for quad in quadratic_family(4, 3, 2))
-    assert f"lipschitz {norm!r}\n" in summaries[0]
-    assert f"lipschitz {norm + 10.0!r}\n" in summaries[1]
-    with pytest.raises(ConfigError, match="problem.lambda2 = 1e[+]308 in the smooth"):
-        build_problem(parse_config(base + "problem.lambda2 = 1e308\n"))
-
-
 def test_build_problem_sigmoid_splits(tmp_path):
     _write_dataset(tmp_path)
     conf = tmp_path / "exp.conf"
@@ -330,15 +299,6 @@ def test_build_problem_sigmoid_splits(tmp_path):
     assert n == 6 and len(objectives) == 4
     assert all(isinstance(obj, SigmoidLoss) for obj in objectives)
     assert reg == ElasticNet(6, 0.01, 0.02)
-
-    conf.write_text(
-        "problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 4\n"
-        "problem.reg_split = g-carries-l2\nproblem.lambda2 = 0.02\n"
-    )
-    objectives, reg, _n, _prov = build_problem(load_config(conf))
-    assert all(isinstance(obj, WithSquaredL2) for obj in objectives)
-    assert objectives[0].lam2 == 0.02
-    assert reg == L1(6, 5e-4)
 
 
 def test_build_problem_subsample_provenance(tmp_path):
@@ -478,25 +438,19 @@ def test_an_overflowing_data_file_is_a_config_error(tmp_path, capsys, command, e
     assert not (tmp_path / "big.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "command, extra", [("run", ""), ("run", "algo.alpha = 0.1\n"), ("lipschitz", "")]
-)
-def test_a_ridge_that_overflows_L_blames_lambda2(tmp_path, capsys, command, extra):
-    # The data's own L is finite; 2 lambda2 = 2e308 added to it is not.
-    data = Path(__file__).parents[1] / "data" / "synthetic.libsvm"
-    conf = tmp_path / "ridge.conf"
+def test_run_rejects_problem_reg_split_as_an_unknown_key(tmp_path, capsys):
+    # The CLI always puts lambda2 ||x||^2 in h; the key is unknown, and the
+    # malformed data file is never read.
+    (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "split.conf"
     conf.write_text(
-        f"problem.kind = sigmoid\ndata.path = {data}\n"
-        "problem.reg_split = g-carries-l2\nproblem.lambda2 = 1e308\n"
-        f"reg.kind = l1\noutput.trace = {tmp_path / 'never.csv'}\n" + extra
+        "problem.kind = sigmoid\ndata.path = data.libsvm\n"
+        "problem.reg_split = h-carries-l2\n"
+        f"output.trace = {tmp_path / 'never.csv'}\n"
     )
-    assert cli.main([command, "--config", str(conf)]) == 2
+    assert cli.main(["run", "--config", str(conf)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (
-        "config error: problem.lambda2 = 1e+308 in the smooth part "
-        "(problem.reg_split = g-carries-l2) gives the non-finite Lipschitz "
-        "constant L = inf\n"
-    )
+    assert captured.err == "config error: line 3: unknown key 'problem.reg_split'\n"
     assert captured.out == ""
     assert not (tmp_path / "never.csv").exists()
 
@@ -677,6 +631,19 @@ def test_run_rejects_a_negative_seed_before_reading_data(tmp_path, capsys, setti
             "line 3: bad value for algo.alpha: expected a number, got 'nan'",
         ),
         ("--alpha nan", "--alpha takes a number or 'auto', got 'nan'"),
+        # A subnormal step is finite, but its reciprocal is not.
+        (
+            "algo.alpha = 5e-324",
+            "algo.alpha must be positive with a finite reciprocal, got 5e-324",
+        ),
+        (
+            "algo.alpha = 1e-320",
+            "algo.alpha must be positive with a finite reciprocal, got 1e-320",
+        ),
+        (
+            "--alpha 1e-320",
+            "algo.alpha must be positive with a finite reciprocal, got 1e-320",
+        ),
     ],
 )
 def test_run_rejects_a_non_finite_alpha_before_reading_data(
@@ -810,19 +777,23 @@ def test_run_on_a_box_that_excludes_the_start(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("command", ["run", "lipschitz"])
 def test_a_subnormal_safety_is_a_config_error(tmp_path, capsys, command):
-    # 5e-324 / L rounds to 0: the automatic step is rejected with the key
-    # that caused it, not as a step size the user never set.
-    conf = _quad_config(tmp_path, extra="algo.safety = 5e-324\n")
-    objectives, _reg, _n, _prov = build_problem(load_config(conf))
-    lipschitz = max(obj.lipschitz() for obj in objectives)
-    assert cli.main([command, "--config", str(conf)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        f"config error: algo.safety = 5e-324 gives the automatic step 0.0 at "
-        f"L = {lipschitz!r}; it must be a positive finite number\n"
-    )
-    assert captured.out == ""
-    assert not (tmp_path / "quad.csv").exists()
+    # 5e-324 / L rounds to 0 and 1e-320 / L to a subnormal whose reciprocal
+    # overflows: the automatic step is rejected with the key that caused
+    # it, not as a step size the user never set or as a numerical fault.
+    for safety in ("5e-324", "1e-320"):
+        conf = _quad_config(tmp_path, extra=f"algo.safety = {safety}\n")
+        objectives, _reg, _n, _prov = build_problem(load_config(conf))
+        lipschitz = max(obj.lipschitz() for obj in objectives)
+        step = float(safety) / lipschitz
+        assert cli.main([command, "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: algo.safety = {safety} gives the automatic step "
+            f"{step!r} at L = {lipschitz!r}; it and its reciprocal must be "
+            "finite and positive\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "quad.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate-graph"])
@@ -1028,27 +999,6 @@ def test_a_slot_without_self_weights_is_a_config_error(tmp_path, capsys, command
     assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.parametrize("kind", ["zero", "l1", "squared-l2", "elastic-net", "box"])
-def test_prox_check_passes_each_kind(kind, capsys):
-    code = cli.main(["prox-check", "--kind", kind, "--trials", "60", "--seed", "1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert f"kind={kind}" in out and "max_deviation=" in out
-
-
-@pytest.mark.parametrize(
-    "flag, value, bound",
-    [("--trials", "0", 1), ("--trials", "-3", 1), ("--seed", "-1", 0)],
-)
-def test_prox_check_rejects_out_of_range_flags(flag, value, bound, capsys):
-    # No trials would check nothing and still pass; a negative seed would
-    # fail inside the generator without naming the flag.
-    assert cli.main(["prox-check", "--kind", "l1", flag, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"config error: {flag} must be >= {bound}, got {value}\n"
-    assert captured.out == ""
-
-
 def test_lipschitz_prints_constants_and_recommendation(tmp_path, capsys):
     conf = _quad_config(tmp_path)
     assert cli.main(["lipschitz", "--config", str(conf)]) == 0
@@ -1116,7 +1066,6 @@ _SMALL_CONFIGS = st.fixed_dictionaries(
         "problem_seed": _from_bound("problem.seed", 3),
         "problem_lambda1": st.floats(0.0, 1e3),
         "problem_lambda2": st.floats(0.0, 1e3),
-        "problem_reg_split": _choices("problem.reg_split"),
         "data_subsample": st.none() | _from_bound("data.subsample", 10),
         "data_n_override": st.none() | _from_bound("data.n_override", 4),
         "reg_kind": st.none() | _choices("reg.kind"),

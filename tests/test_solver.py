@@ -223,7 +223,8 @@ def test_run_communication_accounting() -> None:
 def test_run_rejects_large_step() -> None:
     objectives = quadratic_family(m=2, n=2, seed=1)
     lipschitz = max(o.lipschitz() for o in objectives)
-    for alpha in (1.0 / lipschitz, 1.5 / lipschitz, 0.0, -0.1):
+    # 1/alpha overflows at a subnormal step, so it is refused up front.
+    for alpha in (1.0 / lipschitz, 1.5 / lipschitz, 0.0, -0.1, 5e-324, 1e-320):
         setup = RunSetup(
             objectives=objectives,
             regularizer=Zero(2),
@@ -237,10 +238,10 @@ def test_run_rejects_large_step() -> None:
 
 
 def test_run_rejects_a_step_that_is_not_positive_at_zero_curvature() -> None:
-    # At L = 0 any positive step is allowed; 0 and nan are step-size errors
-    # before row 0 is built.
+    # At L = 0 any positive step with a finite reciprocal is allowed; 0,
+    # nan and a subnormal step are step-size errors before row 0 is built.
     objectives = [Quadratic(np.zeros((2, 2)), np.zeros(2)) for _ in range(2)]
-    for alpha in (0.0, math.nan):
+    for alpha in (0.0, math.nan, 1e-320):
         setup = RunSetup(
             objectives=objectives,
             regularizer=Zero(2),
