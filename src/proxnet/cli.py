@@ -44,13 +44,8 @@ from .graphs import (
     ring_schedule,
     validate_schedule,
 )
-from .objectives import (
-    SigmoidLoss,
-    parse_libsvm,
-    quadratic_family,
-    shard,
-    subsample,
-)
+from .data import parse_libsvm, shard, subsample
+from .objectives import SigmoidLoss, quadratic_family
 from .regularizers import make_regularizer
 from .solver import NumericalFault, RunSetup, StepSizeError, run
 
@@ -282,12 +277,7 @@ def build_problem(cfg: ExperimentConfig):
     """Construct (objectives, regularizer, n, provenance) from a config."""
     provenance: dict[str, object] = {}
     if cfg.problem_kind == "sigmoid":
-        # With m > 1 and the whole file, the parse writes each row into its
-        # shard's place and shard cuts views of that one matrix, so the
-        # peak is the dense matrix (43 MB for 100,000 covtype-shaped rows)
-        # plus a label and a row position per sample and the arrays of one
-        # read (4 MB).  A subsample is drawn in file order, and shard
-        # shuffles its rows with a copy.
+        # Shard order and its memory peak: see the proxnet.data docstring.
         presorted = cfg.graph_m > 1 and cfg.data_subsample is None
         try:
             dataset = parse_libsvm(
@@ -300,6 +290,10 @@ def build_problem(cfg: ExperimentConfig):
         except ValueError as exc:
             raise ConfigError(f"bad data file {cfg.data_path}: {exc}") from None
         except MemoryError as exc:
+            if cfg.data_n_override is not None:
+                raise ConfigError(
+                    f"data.n_override = {cfg.data_n_override} is too large: {exc}"
+                ) from None
             raise ConfigError(
                 f"data file {cfg.data_path} is too large to load: {exc}"
             ) from None

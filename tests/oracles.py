@@ -304,7 +304,7 @@ def parse_libsvm_by_token(source, n_features: int | None = None):
     """(features, labels) of LIBSVM text, one Python token at a time.
 
     Same grammar, label normalization and error messages as
-    proxnet.objectives.parse_libsvm; Dataset, not this oracle, checks the
+    proxnet.data.parse_libsvm; Dataset, not this oracle, checks the
     arrays it returns.
     """
     if isinstance(source, str):

@@ -21,19 +21,17 @@ from oracles import (
     prox_bracket,
     prox_1d,
 )
-from proxnet.diagnostics import gradient_averaging_error
-from proxnet.gossip import replay_check
-from proxnet.graphs import geometric_constants, ring_matchings_schedule
-from proxnet.objectives import (
+from proxnet.data import (
     A9A_GROUP_SIZES,
-    SigmoidLoss,
-    WithSquaredL2,
     parse_libsvm,
-    quadratic_family,
     shard,
     subsample,
     synthetic_classification,
 )
+from proxnet.diagnostics import gradient_averaging_error
+from proxnet.gossip import replay_check
+from proxnet.graphs import geometric_constants, ring_matchings_schedule
+from proxnet.objectives import SigmoidLoss, WithSquaredL2, quadratic_family
 from proxnet.regularizers import (
     Box,
     ElasticNet,

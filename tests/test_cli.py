@@ -20,17 +20,15 @@ from proxnet.cli import (
     load_config,
     parse_config,
 )
-from proxnet.graphs import PeriodicSchedule, RandomSchedule
-from proxnet.objectives import (
-    AgentFamily,
-    Quadratic,
-    SigmoidLoss,
+from proxnet.data import (
     parse_libsvm,
     serialize_libsvm,
     shard,
     subsample,
     synthetic_classification,
 )
+from proxnet.graphs import PeriodicSchedule, RandomSchedule
+from proxnet.objectives import AgentFamily, Quadratic, SigmoidLoss
 from proxnet.regularizers import Box, ElasticNet, L1, Zero
 from proxnet.solver import run
 
@@ -373,13 +371,25 @@ def test_run_names_a_data_file_that_is_not_utf8(tmp_path, capsys):
 
 def test_run_names_a_data_file_too_large_to_load(tmp_path, capsys):
     # A declared dimension of 10^15 asks for a 2 x 10^15 matrix: 14.2 PiB.
+    # At 10^19 the shape itself is past numpy's limit.  Either way the
+    # config key that asked for it is named, not the well-formed file.
     data = tmp_path / "data.libsvm"
     data.write_text("+1 1:0.5 3:1\n-1 2:1\n")
     conf = tmp_path / "exp.conf"
-    conf.write_text(
-        "problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 2\n"
-        "data.n_override = 1000000000000000\n"
-    )
+    for n in (10**15, 10**19):
+        conf.write_text(
+            "problem.kind = sigmoid\ndata.path = data.libsvm\ngraph.m = 2\n"
+            f"data.n_override = {n}\n"
+        )
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: data.n_override = {n} is too large: "
+            f"cannot allocate the (2, {n}) feature matrix"
+        ), err
+    # Inferred from the file, 100,000 rows of width 2^31 - 1 take 1.5 PiB.
+    data.write_text("+1 2147483647:1\n" * 100_000)
+    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n")
     assert cli.main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: data file {data} is too large to load")

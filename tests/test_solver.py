@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxnet import graphs
+from proxnet.data import Dataset, shard, synthetic_classification
 from proxnet.graphs import (
     PeriodicSchedule,
     RandomSchedule,
@@ -11,8 +12,7 @@ from proxnet.graphs import (
     ring_matchings_schedule,
     ring_schedule,
 )
-from proxnet.objectives import Dataset, Quadratic, SigmoidLoss, quadratic_family
-from proxnet.objectives import shard, synthetic_classification
+from proxnet.objectives import Quadratic, SigmoidLoss, quadratic_family
 from proxnet.regularizers import Box, L1, Regularizer, Zero
 from proxnet.solver import (
     NumericalFault,
