@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from proxnet import objectives
-from proxnet.data import Dataset, shard, synthetic_classification
+from proxnet import data, objectives
+from proxnet.data import (
+    Dataset,
+    parse_libsvm,
+    serialize_libsvm,
+    shard,
+    subsample,
+    synthetic_classification,
+)
 from proxnet.objectives import (
     AgentFamily,
     Quadratic,
@@ -22,10 +31,13 @@ from proxnet.objectives import (
 
 from oracles import (
     central_difference,
+    parse_libsvm_by_token,
+    shard_rows,
     sigmoid_loss_by_formula,
     spectral_norm_power,
     two_branch_sigmoid,
 )
+from workloads import covtype_libsvm  # the benchmark's covtype-shaped text
 
 
 def _tiny_shard() -> Dataset:
@@ -33,6 +45,507 @@ def _tiny_shard() -> Dataset:
         features=np.array([[1.0, 0.0, 2.0], [0.5, -1.0, 0.0]]),
         labels=np.array([1.0, -1.0]),
     )
+
+
+def test_parse_single_line() -> None:
+    data = parse_libsvm("+1 3:1.5")
+    assert data.count == 1
+    assert data.n == 3
+    assert data.labels[0] == 1.0
+    assert data.features[0] == pytest.approx([0.0, 0.0, 1.5])
+
+
+def test_parse_errors_carry_line_numbers() -> None:
+    with pytest.raises(ValueError, match="line 2"):
+        parse_libsvm("+1 1:1\n-1 2:1 1:1\n")
+    with pytest.raises(ValueError, match="line 1.*1-based"):
+        parse_libsvm("+1 0:2.0")
+    with pytest.raises(ValueError, match="line 1.*label"):
+        parse_libsvm("spam 1:1")
+    with pytest.raises(ValueError, match="line 3"):
+        parse_libsvm("+1 1:1\n-1 1:1\n+1 1:notanumber")
+    with pytest.raises(ValueError, match="idx:val"):
+        parse_libsvm("+1 11.5")
+
+
+def test_parse_rejects_non_binary_labels() -> None:
+    with pytest.raises(ValueError, match="label set"):
+        parse_libsvm("0 1:1\n2 1:1\n")
+    with pytest.raises(ValueError, match="label set"):
+        parse_libsvm("3 1:1\n")
+
+
+def test_parse_label_families() -> None:
+    zero_one = parse_libsvm("0 1:1\n1 2:1\n")
+    assert list(zero_one.labels) == [-1.0, 1.0]
+    one_two = parse_libsvm("1 1:1\n2 2:1\n")
+    assert list(one_two.labels) == [-1.0, 1.0]
+    # All-positive singleton stays +1 via the {-1,+1} family.
+    ones = parse_libsvm("1 1:1\n1 2:1\n")
+    assert list(ones.labels) == [1.0, 1.0]
+
+
+def test_parse_dimension_override() -> None:
+    data = parse_libsvm("+1 2:1.0", n_features=5)
+    assert data.n == 5
+    with pytest.raises(ValueError, match="exceeds"):
+        parse_libsvm("+1 7:1.0", n_features=5)
+    with pytest.raises(ValueError):
+        parse_libsvm("")
+    with pytest.raises(ValueError, match="dimension"):
+        parse_libsvm("+1\n-1\n")
+
+
+def _outcome(parse, source, n_features):
+    """Bytes and shape of the parsed arrays, or the ValueError's message."""
+    try:
+        data = parse(source, n_features)
+    except ValueError as exc:
+        return str(exc)
+    return data.features.shape, data.features.tobytes(), data.labels.tobytes()
+
+
+def _by_token(source, n_features):
+    return Dataset(*parse_libsvm_by_token(source, n_features))
+
+
+def _assert_parses_like_token_loop(source, n_features=None) -> None:
+    assert _outcome(parse_libsvm, source, n_features) == _outcome(
+        _by_token, source, n_features
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+1 1:2:3 4",
+        "+1 1: 2",
+        "+1 1 :2",
+        "+1 1 : 2",
+        "+1 :1",
+        "+1 1:",
+        "+1 1:1 : 2:2",
+        "+1 1:1 2",
+        "1:1 2:2",
+        "+1 1:1\n-1 2:1 2:1\n+1 x",
+        "+1 3:1 2:1\n+1 0:1",
+        "+1 1:0x1",
+        "+1 1_0:1_0.5 11:-0 12:1e999",
+        "+1 1:nan",
+        "\n\n  \t\n",
+        "+1\n-1",
+        # Indices past 2**31 - 1 fail at their own line, before any
+        # error that the whole file decides.
+        "+1 99999999999999999999:1",
+        "+1 99999999999999999999:1\n-1 1:1 x",
+        "+1 9223372036854775808:1\n3 1:1",
+    ],
+)
+@pytest.mark.parametrize("n_features", [None, 5])
+def test_parse_matches_token_loop_on_edge_cases(text, n_features) -> None:
+    _assert_parses_like_token_loop(text, n_features)
+
+
+def _rows(count: int) -> list[str]:
+    return [
+        f"{'+1' if i % 3 else '-1'} {i % 5 + 1}:{i * 0.25!r} 7:{-i}"
+        for i in range(count)
+    ]
+
+
+def _with(lines: list[str], changes: dict[int, str]) -> str:
+    lines = list(lines)
+    for position, line in changes.items():
+        lines[position] = line
+    return "\n".join(lines) + "\n"
+
+
+LINES = 256  # lines of the first read in the read-boundary texts below
+
+
+def _first_read(text: str) -> int:
+    """_READ_CHARS that ends the first read of text after LINES lines."""
+    return sum(map(len, text.splitlines(keepends=True)[:LINES]))
+
+
+def _refused(text: str) -> None:
+    """_convert_read's answer to every read here, so _parse_lines takes it."""
+    return None
+
+
+# Both routes of a read: the byte kernel, and _parse_lines for every read.
+_ROUTES = [data._convert_read, _refused]
+
+
+@pytest.mark.parametrize(
+    "text, samples",
+    [
+        (_with(_rows(LINES), {}), LINES),
+        (_with(_rows(LINES + 1), {}), LINES + 1),
+        (_with(_rows(2 * LINES), {LINES - 1: ""}), 2 * LINES - 1),
+        (_with(_rows(2 * LINES), {LINES: " \t"}), 2 * LINES - 1),
+        (_with(_rows(2 * LINES), {LINES - 1: "-1", LINES: "+1"}), 2 * LINES),
+    ],
+    ids=[
+        "one read",
+        "one read plus one line",
+        "blank line ends a read",
+        "blank line starts a read",
+        "label-only lines meet at a read boundary",
+    ],
+)
+def test_parse_across_read_boundaries(text, samples) -> None:
+    for route in _ROUTES:
+        with mock.patch.multiple(
+            data, _READ_CHARS=_first_read(text), _convert_read=route
+        ):
+            assert parse_libsvm(text).count == samples
+            _assert_parses_like_token_loop(text)
+            _assert_parses_like_token_loop(text, 9)
+
+
+def test_parse_error_lines_are_numbered_in_the_whole_file() -> None:
+    # The bad line starts the second read, or ends the first.
+    for route, (change, message) in itertools.product(
+        _ROUTES,
+        [
+            ({LINES: "+1 2:1 2:1"}, f"^line {LINES + 1}: index 2 not strictly"),
+            ({LINES - 1: "+1 0:1"}, f"^line {LINES}: index 0 is not 1-based"),
+        ],
+    ):
+        text = _with(_rows(LINES + 3), change)
+        with mock.patch.multiple(
+            data, _READ_CHARS=_first_read(text), _convert_read=route
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_libsvm(text)
+
+
+def test_parse_rejects_an_index_past_int32_at_its_line() -> None:
+    # A declared dimension keeps the largest index from sizing a dense row.
+    with pytest.raises(ValueError, match="^feature index 2147483647 exceeds declared"):
+        parse_libsvm("+1 2147483647:1\n", n_features=5)
+    text = "+1 2147483647:1\n-1 1:1 2147483648:1\n"
+    message = "^line 2: index 2147483648 exceeds 2147483647$"
+    with pytest.raises(ValueError, match=message):
+        parse_libsvm(text, n_features=5)
+    _assert_parses_like_token_loop(text, 5)
+    # The line error comes before a malformed later line.
+    text = "+1 1:1\n-1 2147483648:1\n+1 x\n"
+    with pytest.raises(ValueError, match="^line 2: index 2147483648 exceeds"):
+        parse_libsvm(text, n_features=5)
+    _assert_parses_like_token_loop(text, 5)
+
+
+def test_parse_reads_a_path_as_utf8(tmp_path) -> None:
+    text = "+1 1:0.5 3:2\n-1 2:1\n"
+    path = tmp_path / "data.libsvm"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(parse_libsvm, path, None) == _outcome(parse_libsvm, text, None)
+    path.write_bytes(b"+1 1:0.5\n-1 2:\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        parse_libsvm(path)
+
+
+# Fuzzed tokens are at most five characters, so an index stays below 10^5
+# and a dense matrix of unset dimension stays small.  The longer tokens
+# all hold an index outside the int32 range, which fails at its line.
+_FUZZ_TOKENS = (
+    st.text("0123456789:.+-ex", min_size=1, max_size=5)
+    | st.lists(st.sampled_from(["", "1", "2", "0.5", "x"]), min_size=1, max_size=3)
+    .map(":".join)
+    .filter(bool)
+    | st.sampled_from(["2147483648:1", "-2147483649:1", "99999999999999999999:x"])
+)
+_SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+_LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", "\r"])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# Listed twice so that most values are finite and more texts parse.
+_VALUES = st.one_of(
+    _FLOATS,
+    _FLOATS,
+    st.sampled_from(["1_0", "+.5", "-.5E-3", "-0", "7", "1e-320", "١", "1e999"]),
+)
+_LABEL_PAIRS = st.sampled_from(
+    [("+1", "-1"), ("1", "0"), ("2", "1.0"), ("1", "-1e0"), ("1", "-0")]
+)
+
+
+@st.composite
+def _feature(draw, idx: int) -> str:
+    form = draw(st.sampled_from(["{}", "+{}", "0{}"]))
+    return form.format(idx) + ":" + draw(_VALUES)
+
+
+@st.composite
+def _line(draw, labels: tuple[str, str], dirty: bool) -> str:
+    """A well-formed row, a row with fuzzed tokens mixed in, or pure fuzz."""
+    kind = draw(st.sampled_from(["row", "mixed", "fuzz"] if dirty else ["row"]))
+    if kind == "fuzz":
+        tokens = draw(st.lists(_FUZZ_TOKENS, min_size=1, max_size=6))
+    else:
+        indices = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+        tokens = [draw(st.sampled_from(labels))]
+        tokens += [draw(_feature(idx)) for idx in indices]
+        for _ in range(draw(st.integers(1, 2)) if kind == "mixed" else 0):
+            tokens.insert(draw(st.integers(1, len(tokens))), draw(_FUZZ_TOKENS))
+    return "".join(draw(_SPACES) + token for token in tokens) + draw(
+        st.sampled_from(["", " ", "\t"])
+    )
+
+
+@st.composite
+def _libsvm_texts(draw) -> str:
+    labels = draw(_LABEL_PAIRS)
+    lines = draw(st.lists(_line(labels, draw(st.booleans())), max_size=8))
+    text = "".join(line + draw(_LINE_BREAKS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_libsvm_texts(), n_features=st.none() | st.integers(0, 14))
+def test_parse_matches_token_loop(text, n_features) -> None:
+    _assert_parses_like_token_loop(text, n_features)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=_libsvm_texts(),
+    n_features=st.none() | st.integers(0, 14),
+    read=st.integers(1, 7),
+)
+def test_parse_matches_token_loop_whatever_the_read_size(text, n_features, read):
+    # Reads of 1 to 7 characters cut these short texts everywhere,
+    # between the "\r" and "\n" of a line break too.
+    with mock.patch.object(data, "_READ_CHARS", read):
+        _assert_parses_like_token_loop(text, n_features)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=_libsvm_texts(),
+    n_features=st.none() | st.integers(0, 14),
+    read=st.integers(1, 7),
+)
+def test_parse_fallback_alone_matches_token_loop(text, n_features, read) -> None:
+    # Every read goes to _parse_lines, as one that the byte kernel refuses,
+    # and short reads give it lines that start anywhere in the file.
+    with mock.patch.multiple(data, _READ_CHARS=read, _convert_read=_refused):
+        _assert_parses_like_token_loop(text, n_features)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+1 1:1 3:2\r\n-1 2:0.5\r\n+1 4:1\r\n",
+        "+1 1:1\r-1 2:0.5\r\r+1 4:1\r",
+        "+1 1:1\n-1 2:0.5\n+1 4:1",
+        "+1 1:1\n \t \n\n-1 2:0.5\n  \n",
+        "+1 1:1\r\n\r\n-1 2:1 2:1\r\n+1 1:1\r\n",
+        "+1 1:1\r\r\n-1 x\r\n+1 1:1",
+        "\r\n+1 12:1\r\n-1 3:1",
+    ],
+    ids=[
+        "CRLF",
+        "CR only",
+        "no final line break",
+        "whitespace-only lines",
+        "CRLF, bad line 3",
+        "CR then CRLF, bad line 3",
+        "CRLF, widest index 12",
+    ],
+)
+@pytest.mark.parametrize("n_features", [None, 9])
+def test_parse_reads_a_text_or_a_path_in_any_pieces(tmp_path, text, n_features):
+    path = tmp_path / "data.libsvm"
+    path.write_bytes(text.encode("utf-8"))  # line breaks as they are
+    expected = _outcome(_by_token, text, n_features)
+    for read in range(1, 8):
+        with mock.patch.object(data, "_READ_CHARS", read):
+            assert _outcome(parse_libsvm, text, n_features) == expected
+            assert _outcome(parse_libsvm, path, n_features) == expected
+
+
+def test_parse_names_a_bad_byte_by_its_place_in_the_file(tmp_path) -> None:
+    # Past the first 8 KiB that a text file decodes at once.
+    path = tmp_path / "data.libsvm"
+    path.write_bytes(b"+1 1:0.5\n" * 2000 + b"-1 2:\xff\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    assert "position 18005" in str(whole.value)
+    for read in (7, data._READ_CHARS):
+        with mock.patch.object(data, "_READ_CHARS", read):
+            with pytest.raises(UnicodeDecodeError) as streamed:
+                parse_libsvm(path)
+        assert str(streamed.value) == str(whole.value)
+
+
+def test_parse_checks_every_line_before_it_allocates_the_matrix() -> None:
+    # A 2 x 10^15 matrix (14.2 PiB) is past the 128 TiB of address space
+    # that Linux gives a process, so its allocation fails untouched.
+    with pytest.raises(ValueError, match="^line 2: expected idx:val, got 'x'$"):
+        parse_libsvm("+1 1:0.5\n-1 x\n", n_features=10**15)
+    with pytest.raises(ValueError, match="^label set"):
+        parse_libsvm("+1 1:0.5\n3 2:1\n", n_features=10**15)
+    with pytest.raises(MemoryError):
+        parse_libsvm("+1 1:0.5\n-1 2:1\n", n_features=10**15)
+    # An inferred width of 2**31 - 1 over 9002 rows asks for 144 TiB.
+    text = "+1 2147483647:1\n" + "-1 1:1\n" * 9000 + "+1 x\n"
+    with pytest.raises(ValueError, match="^line 9002: expected idx:val"):
+        parse_libsvm(text)
+
+
+def _fallbacks(source, n_features=None) -> int:
+    """Reads of source that the byte kernel refused and _parse_lines
+    converted, after checking that source parses like the token loop."""
+    with mock.patch.object(
+        data, "_parse_lines", wraps=data._parse_lines
+    ) as fallback:
+        _assert_parses_like_token_loop(source, n_features)
+    return fallback.call_count
+
+
+# A number the byte kernel converts: an optional sign, then at most
+# _FIELD_DIGITS digits with at most one point among them, leading zeros,
+# "5." and ".5" included.
+@st.composite
+def _plain_decimals(draw) -> str:
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    digits = draw(st.text("0123456789", min_size=1, max_size=data._FIELD_DIGITS))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is None:
+        return sign + digits
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+@st.composite
+def _plain_texts(draw) -> str:
+    labels = draw(
+        st.sampled_from([("+1", "-1"), ("1", "0"), ("2", "1.0"), ("1", "-0"), ("1", "-1")])
+    )
+    spaces = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [draw(st.sampled_from(labels))]
+        for idx in sorted(draw(st.sets(st.integers(1, 12), max_size=6))):
+            zeros = draw(st.sampled_from(["", "0", "00"]))
+            fields.append(f"{zeros}{idx}:{draw(_plain_decimals())}")
+        line = "".join(draw(spaces) + field for field in fields)
+        lines.append(line[draw(st.integers(0, 1)) :] + draw(st.sampled_from(["", " "])))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+    breaks = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=_plain_texts(),
+    n_features=st.none() | st.integers(0, 14),
+    read=st.integers(1, 64) | st.just(data._READ_CHARS),
+)
+def test_parse_kernel_matches_token_loop_on_plain_decimals(text, n_features, read):
+    with mock.patch.object(data, "_READ_CHARS", read):
+        assert _fallbacks(text, n_features) == 0
+
+
+@pytest.mark.parametrize(
+    "text, n_features, kernel",
+    [
+        # A field of 17 bytes (sign, point and 15 digits), and one of 18.
+        ("+1 1:-1.23456789012345 2:+12345678901234.\n", None, True),
+        ("+1 1:-1.234567890123456\n", None, False),
+        # Fields of 258 and 257 bytes, which a length kept modulo 256 would
+        # take for fields of 2 and 1 bytes.
+        ("+1 1:1" + "0" * 256 + "5\n", None, False),
+        ("2" + "0" * 255 + "1 1:1\n", None, False),
+        ("+1 1" + "0" * 255 + "2:1\n", None, False),
+        # 15 digits, and 16 (leading zeros count), with or without a point.
+        ("+1 1:123456789012345 2:999999999999999 3:1\n", None, True),
+        ("+1 1:1234567890123456\n", None, False),
+        ("+1 1:1.234567890123456\n", None, False),
+        ("+1 1:0.123456789012345\n", None, False),
+        ("-0 1:-0 2:+.5 3:5. 4:-.0 5:-0.0\n+1 1:1\n", None, True),
+        ("+1 007:0005.2500 010:-000.5 011:.0000001\n", None, True),
+        ("+1 1:0.5\r-1 2:1\r\r+1 3:2", None, True),
+        ("+1 1:0.5\r\n-1 2:1\r\r\n\r\n+1 3:2\n", None, True),
+        # The largest index takes the kernel; the dimension check refuses it.
+        ("+1 2147483647:1\n", 5, True),
+        ("+1 2147483648:1\n", 5, False),
+        ("+1 2:1 1:1\n", None, False),
+        ("+1 1:1 1:2\n", None, False),
+        ("+1 1:1 2:\n", None, False),
+        ("+1 +1:1\n", None, False),
+        ("+1 1.0:1\n", None, False),
+        ("+1 1:1-\n", None, False),
+        ("+1 1:1..\n", None, False),
+        ("+1 1:-\n", None, False),
+        ("+1 1:+.\n", None, False),
+        ("+1 1:1\x0b-1 1:1\n", None, False),
+        ("+1 1:1e3\n", None, False),
+    ],
+)
+def test_parse_kernel_takes_what_it_can_and_refuses_the_rest(text, n_features, kernel):
+    assert (_fallbacks(text, n_features) == 0) == kernel
+
+
+def test_parse_kernel_refuses_a_read_whose_last_line_is_bad() -> None:
+    good = "+1 1:0.5 3:2\n-1 2:0.25\n"
+    # Reads of len(good) + 7 characters: the bad line ends the first read,
+    # or, with no line break after it, the file.
+    for text in (good + "+1 4:x\n" + good, good + good + "+1 4:x"):
+        with mock.patch.object(data, "_READ_CHARS", len(good) + 7):
+            with pytest.raises(ValueError, match="^line [35]: bad feature '4:x'$"):
+                parse_libsvm(text)
+            assert _fallbacks(text) == 1
+    assert _fallbacks(good + good + good) == 0
+
+
+def _seventeen_digits(text: str) -> str:
+    """text with each value written as %.17g, too many digits for the kernel."""
+    lines = []
+    for label, *fields in map(str.split, text.splitlines()):
+        pairs = (field.partition(":") for field in fields)
+        lines.append(" ".join([label] + [f"{i}:{float(v):.17g}" for i, _, v in pairs]))
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_kernel_takes_the_shipped_and_covtype_shaped_files() -> None:
+    text = (Path(__file__).parents[1] / "data" / "synthetic.libsvm").read_text()
+    assert _fallbacks(text) == 0
+    assert _fallbacks(text, 123) == 0
+    covtype = covtype_libsvm(3000, 0)
+    assert _fallbacks(covtype, 54) == 0
+    # Every read of the %.17g copy goes to _parse_lines.
+    long = _seventeen_digits(covtype)
+    with mock.patch.object(data, "_READ_CHARS", 4096):
+        reads = [read for read in data._chunks(long) if read]
+        assert _fallbacks(long, 54) == len(reads) > 1
+
+
+def test_serialize_round_trip() -> None:
+    data = synthetic_classification(count=60, n=17, seed=4)
+    again = parse_libsvm(serialize_libsvm(data))
+    assert again.n == data.n
+    assert np.array_equal(again.features, data.features)
+    assert np.array_equal(again.labels, data.labels)
+
+
+def test_serialize_pins_dimension_when_last_column_zero() -> None:
+    data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, -1.0]))
+    text = serialize_libsvm(data)
+    assert "2:0.0" in text.splitlines()[0]
+    assert parse_libsvm(text).n == 2
+
+
+def test_dataset_validation() -> None:
+    with pytest.raises(ValueError, match="labels"):
+        Dataset(np.zeros((2, 3)), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="label count"):
+        Dataset(np.zeros((2, 3)), np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(np.array([[np.inf]]), np.array([1.0]))
 
 
 def test_stable_sigmoid_extremes() -> None:
@@ -623,3 +1136,119 @@ def test_agent_family_views_the_shards_without_a_copy() -> None:
     domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
     held = sum(trace.size for trace in snapshot.filter_traces([domain]).traces)
     assert held < 100_000
+
+
+def test_shard_sizes_and_union() -> None:
+    data = synthetic_classification(count=10, n=4, seed=1)
+    shards = shard(data, m=3, seed=7)
+    assert sorted(s.count for s in shards) == [3, 3, 4]
+    assert shards[0].count == 4
+    stacked = np.vstack([s.features for s in shards])
+    assert np.array_equal(
+        np.sort(stacked.ravel()), np.sort(data.features.ravel())
+    )
+    total_labels = np.concatenate([s.labels for s in shards])
+    assert np.sort(total_labels).tolist() == np.sort(data.labels).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(2, 40), m=st.integers(2, 40), seed=st.integers(0, 2**16)
+)
+def test_shard_matches_the_row_oracle(count, m, seed) -> None:
+    m = min(m, count)
+    data = synthetic_classification(count=count, n=3, seed=1)
+    shards = shard(data, m=m, seed=seed)
+    rows = shard_rows(count, m, seed)
+    assert len(shards) == m
+    for piece, idx in zip(shards, rows):
+        assert np.array_equal(piece.features, data.features[idx])
+        assert np.array_equal(piece.labels, data.labels[idx])
+
+
+def test_shard_determinism_and_edges() -> None:
+    data = synthetic_classification(count=12, n=4, seed=1)
+    once = shard(data, m=5, seed=3)
+    twice = shard(data, m=5, seed=3)
+    for a, b in zip(once, twice):
+        assert np.array_equal(a.features, b.features)
+    single = shard(data, m=1, seed=3)
+    assert np.array_equal(single[0].features, data.features)
+    with pytest.raises(ValueError):
+        shard(data, m=13, seed=0)
+    with pytest.raises(ValueError):
+        shard(data, m=0, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(2, 40),
+    m=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_parse_in_shard_order_gives_shard_views(count, m, seed) -> None:
+    m = min(m, count)
+    text = serialize_libsvm(synthetic_classification(count=count, n=5, seed=1))
+    presorted = parse_libsvm(text, shard_seed=seed)
+    views = shard(presorted, m=m, seed=None)
+    copies = shard(parse_libsvm(text), m=m, seed=seed)
+    assert len(views) == len(copies) == m
+    for view, copy in zip(views, copies):
+        assert view.features.base is presorted.features
+        assert view.features.tobytes() == copy.features.tobytes()
+        assert view.labels.tobytes() == copy.labels.tobytes()
+    assert shard(presorted, m=1, seed=None)[0] is presorted
+
+
+def test_parse_and_shard_peak_stays_well_below_two_matrices(tmp_path) -> None:
+    # Measured on 4000 x 54 rows, and on those rows ten times over, of
+    # serialize_libsvm text (14 features of "1.0" a row), of covtype-shaped
+    # "%.4f" text (12 a row) and of its "%.17g" copy, whose every read goes
+    # to _parse_lines: parsing the path in shard order and cutting views
+    # peaks at 1.67 and 1.10 (repr), 1.57 and 1.09 (covtype), 1.42 and 1.08
+    # (%.17g) times the dense matrix, which is the matrix plus one read of
+    # the source and the byte kernel's arrays or _parse_lines' lists for it.
+    # Parsing a text the caller had read, in file order, and letting shard
+    # gather copies of the rows peaked at 2.07 and 2.06 times.
+    path = tmp_path / "data.libsvm"
+    covtype = covtype_libsvm(4000, 0)
+    texts = [
+        serialize_libsvm(synthetic_classification(count=4000, n=54, seed=0)),
+        covtype,
+        _seventeen_digits(covtype),
+    ]
+    for text, (repeats, bound) in itertools.product(texts, [(1, 1.8), (10, 1.3)]):
+        path.write_text(text * repeats, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            shards = shard(parse_libsvm(path, shard_seed=0), m=10, seed=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = sum(piece.features.nbytes for piece in shards)
+        assert peak < bound * matrix
+
+
+def test_subsample() -> None:
+    data = synthetic_classification(count=50, n=6, seed=2)
+    sub = subsample(data, count=20, seed=9)
+    assert sub.count == 20
+    assert np.array_equal(
+        sub.features, subsample(data, count=20, seed=9).features
+    )
+    with pytest.raises(ValueError):
+        subsample(data, count=51, seed=0)
+    with pytest.raises(ValueError):
+        subsample(data, count=0, seed=0)
+
+
+def test_synthetic_classification_shape() -> None:
+    data = synthetic_classification(count=100, n=20, seed=3)
+    assert data.count == 100
+    assert data.n == 20
+    assert set(np.unique(data.labels)) == {-1.0, 1.0}
+    # Rows hold a small number of unit activations.
+    row_sums = data.features.sum(axis=1)
+    assert np.all(row_sums >= 1)
+    assert np.all(row_sums <= 15)
+    assert data.features[0, -1] == 1.0
