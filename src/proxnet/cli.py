@@ -50,17 +50,8 @@ from .regularizers import make_regularizer
 from .solver import NumericalFault, RunSetup, StepSizeError, run
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Anything wrong with the experiment configuration."""
-
-
-def _to_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _to_float(raw: str) -> float:
@@ -108,8 +99,7 @@ class ExperimentConfig:
     algo_alpha: float | str = _key("auto", finite=True)
     algo_safety: float = 0.9
     algo_max_iter: int = _key(100, at_least=0)
-    algo_tol: float = 1e-8
-    algo_early_stop: bool = False
+    algo_tol: float | None = _key(None, at_least=0.0, finite=True)
     algo_init: str = _key("zeros", choices=("zeros", "gaussian"))
     algo_init_scale: float = _key(1.0, finite=True)
     algo_seed: int = _key(0, at_least=0)
@@ -125,7 +115,6 @@ _CONVERTERS = {
     "str": str,
     "int": int,
     "float": _to_float,
-    "bool": _to_bool,
     "float | str": _to_alpha,
 }
 # Config key -> field, in dump order, derived from the field names.
@@ -210,9 +199,7 @@ def dump_config(cfg: ExperimentConfig) -> str:
         value = getattr(cfg, field.name)
         if value is None:
             continue
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             text = repr(value)
         else:
             text = str(value)
@@ -360,21 +347,10 @@ def _resolve_output(path_str: str) -> Path:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    if args.seed is not None:
-        cfg.problem_seed = args.seed
-        cfg.graph_seed = args.seed
-        cfg.algo_seed = args.seed
     if args.output is not None:
         cfg.output_trace = args.output
     if args.max_iter is not None:
         cfg.algo_max_iter = args.max_iter
-    if args.alpha is not None:
-        try:
-            cfg.algo_alpha = _to_alpha(args.alpha)
-        except ValueError:
-            raise ConfigError(
-                f"--alpha takes a number or 'auto', got {args.alpha!r}"
-            ) from None
 
 
 def _auto_alpha(safety: float, lipschitz: float) -> float | None:
@@ -414,7 +390,6 @@ def cmd_run(args) -> int:
         alpha=alpha,
         max_iter=cfg.algo_max_iter,
         init=_build_init(cfg, cfg.graph_m, n),
-        early_stop=cfg.algo_early_stop,
         tol=cfg.algo_tol,
         snapshot_every=None,
     )
@@ -499,9 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute an experiment config")
     runp.add_argument("--config", required=True)
     runp.add_argument("--output", help="override output.trace")
-    runp.add_argument("--seed", type=int, help="override every seed")
     runp.add_argument("--max-iter", type=int, dest="max_iter")
-    runp.add_argument("--alpha", help="step size, a number or 'auto'")
     runp.set_defaults(handler=cmd_run)
 
     valp = sub.add_parser("validate-graph", help="check a schedule config")
@@ -516,11 +489,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # StepSizeError and DisconnectedSchedule are ValueErrors with their own
+    # messages; every other ValueError, ConfigError too, is a config error.
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except StepSizeError as exc:
         print(f"step-size error: {exc}", file=sys.stderr)
         return 3

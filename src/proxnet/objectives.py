@@ -115,11 +115,11 @@ class SigmoidLoss:
         return self._lipschitz
 
 
-def _power_norms(stack: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
+def _power_norms(stack: np.ndarray) -> np.ndarray:
     """Power-iteration estimates of ||Q||_2 for each Q of a (k, n, n) stack.
 
     Each matrix starts from ones(n)/sqrt(n) and repeats y = Q x,
-    x = y/||y||.  It stops when ||y|| moves by at most rel_tol relative to
+    x = y/||y||.  It stops when ||y|| moves by at most 1e-8 relative to
     itself, when ||y|| is 0 (the estimate is then 0), or after 10,000
     steps, and its estimate is the last ||y||.  A power iteration
     approaches ||Q||_2 from below, so the estimate can be low: by up to
@@ -148,7 +148,7 @@ def _power_norms(stack: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
         norm = np.sqrt(np.matmul(y[:, None, :], y[:, :, None]))[:, 0, 0]
         moved = np.abs(norm - estimate)
         stopped = stepping & (
-            (norm == 0.0) | (moved <= rel_tol * np.maximum(norm, 1e-300))
+            (norm == 0.0) | (moved <= 1e-8 * np.maximum(norm, 1e-300))
         )
         norms[members[stopped]] = norm[stopped]
         stepping &= ~stopped

@@ -115,6 +115,8 @@ class RunSetup:
     """Everything a run needs besides the data inside the objectives.
 
     init has one row per agent.  alpha must satisfy alpha < 1/L strictly.
+    tol = t stops the run after the first iteration k >= 1 whose
+    residual_bound is below t; None runs all max_iter iterations.
     snapshot_every = s keeps the state of iterations 0, s, 2s, ...;
     None keeps no snapshot and copies no state, so the run's memory does
     not grow with max_iter.
@@ -126,8 +128,7 @@ class RunSetup:
     alpha: float
     max_iter: int
     init: np.ndarray
-    early_stop: bool = False
-    tol: float = 1e-8
+    tol: float | None = None
     snapshot_every: int | None = 1
 
 
@@ -152,8 +153,8 @@ class RunTrace:
 def run(setup: RunSetup) -> RunTrace:
     """Execute the iteration loop, one certificate row per iteration.
 
-    Validates the step size and the schedule up front.  Early stopping
-    (off by default) triggers on the stationarity residual bound.  A
+    Validates the step size and the schedule up front.  With setup.tol
+    set, the run stops early on the stationarity residual bound.  A
     non-finite start, step or trace row raises NumericalFault at its
     iteration, 0 for the start, so numpy's floating-point warnings, which
     would only repeat it, are silenced.  A fault at iteration k >= 1
@@ -172,6 +173,9 @@ def run(setup: RunSetup) -> RunTrace:
         raise ValueError(f"schedule has {schedule.m} agents, init has {m}")
     if setup.max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {setup.max_iter}")
+    tol = setup.tol
+    if tol is not None and not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     every = setup.snapshot_every
     if every is not None and every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {every}")
@@ -211,7 +215,7 @@ def run(setup: RunSetup) -> RunTrace:
                 k=k, x=x_next.copy(), q=q_all.copy(), v=v_all.copy()
             )
         x = x_next
-        if setup.early_stop and trace.rows[-1].residual_bound < setup.tol:
+        if tol is not None and row.residual_bound < tol:
             trace.stopped_early = True
             break
 

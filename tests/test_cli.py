@@ -33,6 +33,9 @@ from proxnet.regularizers import Box, ElasticNet, L1, Zero
 from proxnet.solver import run
 
 from oracles import shard_rows
+from workloads import covtype_libsvm  # the benchmark's covtype-shaped text
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 FULL_CONFIG = """\
 # every key exercised once
@@ -55,7 +58,6 @@ algo.alpha = 0.05
 algo.safety = 0.8
 algo.max_iter = 17
 algo.tol = 1e-06
-algo.early_stop = true
 algo.init = gaussian
 algo.init_scale = 0.1
 algo.seed = 9
@@ -92,7 +94,7 @@ def test_config_round_trip_covers_every_key():
     cfg = parse_config(FULL_CONFIG)
     assert cfg == parse_config(dump_config(cfg))
     assert cfg.algo_alpha == 0.05
-    assert cfg.algo_early_stop is True
+    assert cfg.algo_tol == 1e-06
     assert cfg.graph_B == 3
 
 
@@ -115,7 +117,7 @@ def test_config_auto_alpha_round_trips():
         ("graph.m = 4\ngraph.m = 5\n", "duplicate key", 4),
         ("graph.m = four\n", "bad value", 3),
         ("just some words\n", "key = value", 3),
-        ("algo.early_stop = maybe\n", "bad value", 3),
+        ("algo.early_stop = true\n", "unknown key", 3),
         ("reg.lambda1 = 1\n", "unknown key", 3),
         ("graph.period = 2\n", "unknown key", 3),
         ("graph.eta = 0.1\n", "unknown key", 3),
@@ -169,23 +171,41 @@ def test_config_validation_rejects(text):
 
 
 def test_config_language_is_pinned():
-    # The 26 keys in dump order; renaming a field must not change them.
+    # The 25 keys in dump order; renaming a field must not change them.
     keys = """
         problem.kind problem.n problem.seed problem.lambda1 problem.lambda2
         data.path data.subsample data.n_override reg.kind
         reg.lo reg.hi graph.kind graph.m graph.B graph.seed graph.path
-        algo.alpha algo.safety algo.max_iter algo.tol algo.early_stop
+        algo.alpha algo.safety algo.max_iter algo.tol
         algo.init algo.init_scale algo.seed output.trace output.snapshot_every
     """.split()
     dumped = dump_config(parse_config(FULL_CONFIG + "graph.path = w.txt\n"))
     assert [line.partition(" = ")[0] for line in dumped.splitlines()] == keys
-    shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.conf"))
+    shipped = sorted(CONFIGS.glob("*.conf"))
     assert len(shipped) == 3
     for path in shipped:
         cfg = parse_config(path.read_text(encoding="utf-8"))
         text = dump_config(cfg)
         assert parse_config(text) == cfg
         assert dump_config(parse_config(text)) == text
+
+
+@pytest.mark.parametrize("name", ["covtype", "quadratic", "sigmoid-synthetic"])
+def test_shipped_penalty_weights_reach_the_regularizer(tmp_path, name):
+    # A weight that the regularizer's kind leaves out would be read and unused.
+    path = CONFIGS / f"{name}.conf"
+    text = path.read_text(encoding="utf-8")
+    cfg = parse_config(text)
+    if name == "covtype":  # the full file is not shipped
+        cfg.data_path = str(tmp_path / "covtype.libsvm")
+        Path(cfg.data_path).write_text(covtype_libsvm(40, 0), encoding="utf-8")
+    elif cfg.data_path is not None:
+        cfg.data_path = str(path.parent / cfg.data_path)
+    _objs, reg, _n, _prov = build_problem(cfg)
+    for key, weight in (("problem.lambda1", reg.lam1), ("problem.lambda2", reg.lam2)):
+        value = getattr(cfg, cli._FIELDS[key].name)
+        if f"\n{key} = " in "\n" + text and value != 0:
+            assert weight == value, key
 
 
 def _declared(rule):
@@ -488,25 +508,30 @@ def test_identical_config_and_seed_reproduce_trace_bytes(tmp_path):
     assert cli.main(["run", "--config", str(conf), "--output", str(first)]) == 0
     assert cli.main(["run", "--config", str(conf), "--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+    reseeded = tmp_path / "seed99.conf"
+    reseeded.write_text(conf.read_text().replace("seed = 11", "seed = 99"))
     third = tmp_path / "c.csv"
-    assert cli.main(
-        ["run", "--config", str(conf), "--output", str(third), "--seed", "99"]
-    ) == 0
+    assert cli.main(["run", "--config", str(reseeded), "--output", str(third)]) == 0
     assert third.read_bytes() != first.read_bytes()
 
 
-def test_seed_flag_overrides_every_seed():
-    cfg = parse_config("problem.seed = 1\ngraph.seed = 2\nalgo.seed = 3\n")
-
-    class Args:
-        seed = 77
-        output = None
-        max_iter = 4
-        alpha = "0.01"
-
-    cli._apply_overrides(cfg, Args)
-    assert (cfg.problem_seed, cfg.graph_seed, cfg.algo_seed) == (77, 77, 77)
-    assert cfg.algo_max_iter == 4 and cfg.algo_alpha == 0.01
+def test_run_stops_after_the_first_row_below_algo_tol(tmp_path, capsys):
+    # An early stop writes the first rows of the full run; tol = 0 never stops.
+    full = tmp_path / "full.csv"
+    argv = ["run", "--max-iter", "60", "--config"]
+    assert cli.main(argv + [str(_quad_config(tmp_path)), "--output", str(full)]) == 0
+    full_lines = full.read_text().splitlines()
+    assert len(full_lines) == 62
+    for tol, iterations in (("1e-3", 49), ("0", 60)):
+        conf = _quad_config(tmp_path, extra=f"algo.tol = {tol}\n")
+        out = tmp_path / f"tol-{tol}.csv"
+        capsys.readouterr()
+        assert cli.main(argv + [str(conf), "--output", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert f"iterations {iterations}\n" in summary
+        stopped = "true" if iterations < 60 else "false"
+        assert f"stopped_early {stopped}\n" in summary
+        assert out.read_text().splitlines() == full_lines[: iterations + 2]
 
 
 def test_output_dir_env_relocates_relative_paths(tmp_path, monkeypatch, capsys):
@@ -546,14 +571,18 @@ def test_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
 
-    conf = _quad_config(tmp_path)
-    assert cli.main(["run", "--config", str(conf), "--alpha", "1.0"]) == 3
+    conf = _quad_config(tmp_path, extra="algo.alpha = 1.0\n")
+    assert cli.main(["run", "--config", str(conf)]) == 3
     assert "step-size" in capsys.readouterr().err
 
-    # Overrides are checked like the config keys they replace.
-    for flag, value in (("--alpha", "0"), ("--alpha", "-1"), ("--max-iter", "-1")):
-        assert cli.main(["run", "--config", str(conf), flag, value]) == 2
+    for value in ("0", "-1"):
+        conf = _quad_config(tmp_path, extra=f"algo.alpha = {value}\n")
+        assert cli.main(["run", "--config", str(conf)]) == 2
         assert "config error" in capsys.readouterr().err
+    # --max-iter is checked like the config key it replaces.
+    conf = _quad_config(tmp_path)
+    assert cli.main(["run", "--config", str(conf), "--max-iter", "-1"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_run_rejects_non_finite_values_before_solving(tmp_path, capsys):
@@ -579,14 +608,6 @@ def test_run_rejects_non_finite_values_before_solving(tmp_path, capsys):
         trace.unlink()
 
 
-def test_run_rejects_a_non_numeric_alpha(tmp_path, capsys):
-    conf = _quad_config(tmp_path)
-    assert cli.main(["run", "--config", str(conf), "--alpha", "abc"]) == 2
-    err = capsys.readouterr().err
-    assert err == "config error: --alpha takes a number or 'auto', got 'abc'\n"
-    assert not (tmp_path / "quad.csv").exists()
-
-
 def test_run_reports_schedule_error_before_reading_data(tmp_path, capsys):
     # The schedule is built first, so a bad graph section is reported
     # before a malformed data file is parsed.
@@ -610,23 +631,16 @@ def test_run_rejects_overrides_before_reading_data(tmp_path, capsys):
     assert "algo.max_iter" in err and "data file" not in err
 
 
-@pytest.mark.parametrize(
-    "setting", ["problem.seed", "graph.seed", "algo.seed", "--seed"]
-)
+@pytest.mark.parametrize("setting", ["problem.seed", "graph.seed", "algo.seed"])
 def test_run_rejects_a_negative_seed_before_reading_data(tmp_path, capsys, setting):
-    # --seed sets all three seeds; the first one checked is named.
     (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
     conf = tmp_path / "exp.conf"
-    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n")
-    argv = ["run", "--config", str(conf)]
-    if setting == "--seed":
-        argv += ["--seed", "-1"]
-    else:
-        conf.write_text(conf.read_text() + f"{setting} = -1\n")
-    assert cli.main(argv) == 2
+    conf.write_text(
+        f"problem.kind = sigmoid\ndata.path = data.libsvm\n{setting} = -1\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
-    key = "problem.seed" if setting == "--seed" else setting
-    assert err.startswith(f"config error: {key} must be >= 0, got -1")
+    assert err.startswith(f"config error: {setting} must be >= 0, got -1")
     assert "data file" not in err
 
 
@@ -634,13 +648,10 @@ def test_run_rejects_a_negative_seed_before_reading_data(tmp_path, capsys, setti
     "setting, message",
     [
         ("algo.alpha = inf", "algo.alpha must be finite, got inf"),
-        ("--alpha inf", "algo.alpha must be finite, got inf"),
-        ("--alpha=-inf", "algo.alpha must be finite, got -inf"),
         (
             "algo.alpha = nan",
             "line 3: bad value for algo.alpha: expected a number, got 'nan'",
         ),
-        ("--alpha nan", "--alpha takes a number or 'auto', got 'nan'"),
         # A subnormal step is finite, but its reciprocal is not.
         (
             "algo.alpha = 5e-324",
@@ -650,10 +661,6 @@ def test_run_rejects_a_negative_seed_before_reading_data(tmp_path, capsys, setti
             "algo.alpha = 1e-320",
             "algo.alpha must be positive with a finite reciprocal, got 1e-320",
         ),
-        (
-            "--alpha 1e-320",
-            "algo.alpha must be positive with a finite reciprocal, got 1e-320",
-        ),
     ],
 )
 def test_run_rejects_a_non_finite_alpha_before_reading_data(
@@ -661,14 +668,31 @@ def test_run_rejects_a_non_finite_alpha_before_reading_data(
 ):
     (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
     conf = tmp_path / "exp.conf"
-    conf.write_text("problem.kind = sigmoid\ndata.path = data.libsvm\n")
-    argv = ["run", "--config", str(conf)]
-    if setting.startswith("--"):
-        argv += setting.split()
-    else:
-        conf.write_text(conf.read_text() + setting + "\n")
-    assert cli.main(argv) == 2
+    conf.write_text(f"problem.kind = sigmoid\ndata.path = data.libsvm\n{setting}\n")
+    assert cli.main(["run", "--config", str(conf)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("algo.early_stop = true", "line 3: unknown key 'algo.early_stop'"),
+        ("algo.tol = inf", "algo.tol must be finite, got inf"),
+        ("algo.tol = -1", "algo.tol must be >= 0.0, got -1.0"),
+    ],
+)
+def test_run_rejects_a_bad_stop_rule_before_reading_data(
+    tmp_path, capsys, setting, message
+):
+    (tmp_path / "data.libsvm").write_text("1 1:0.5\nbad 1:0.5\n")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        f"problem.kind = sigmoid\ndata.path = data.libsvm\n{setting}\n"
+        f"output.trace = {tmp_path / 'never.csv'}\n"
+    )
+    assert cli.main(["run", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "never.csv").exists()
 
 
 @pytest.mark.parametrize("lo, hi", [("1", "1"), ("2", "-inf")])
@@ -1088,8 +1112,7 @@ _SMALL_CONFIGS = st.fixed_dictionaries(
         "algo_alpha": st.just("auto") | st.floats(0.0, 1e3, exclude_min=True),
         "algo_safety": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         "algo_max_iter": _from_bound("algo.max_iter", 3),
-        "algo_tol": _ANY_FLOAT,
-        "algo_early_stop": st.booleans(),
+        "algo_tol": st.none() | st.floats(0.0, allow_infinity=False),
         "algo_init": _choices("algo.init"),
         "algo_init_scale": st.floats(allow_nan=False, allow_infinity=False),
         "algo_seed": _from_bound("algo.seed", 3),

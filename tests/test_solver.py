@@ -471,7 +471,6 @@ def test_run_early_stop() -> None:
         alpha=0.9 / max(o.lipschitz() for o in objectives),
         max_iter=500,
         init=np.zeros((3, 2)),
-        early_stop=True,
         tol=1e-6,
     )
     trace = run(setup)
@@ -481,6 +480,22 @@ def test_run_early_stop() -> None:
     # Communication reflects the executed iterations only.
     executed = len(trace.rows) - 1
     assert trace.comm_cumulative == executed * (executed + 1) // 2
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.inf, math.nan])
+def test_run_rejects_a_negative_or_non_finite_tol(tol) -> None:
+    objectives = quadratic_family(m=2, n=2, seed=4)
+    setup = RunSetup(
+        objectives=objectives,
+        regularizer=Zero(2),
+        schedule=complete_schedule(2),
+        alpha=0.5 / max(o.lipschitz() for o in objectives),
+        max_iter=5,
+        init=np.zeros((2, 2)),
+        tol=tol,
+    )
+    with pytest.raises(ValueError, match="^tol must be finite and >= 0, got "):
+        run(setup)
 
 
 def test_run_eps_unavailable_outside_ball() -> None:
@@ -577,7 +592,6 @@ def _early_stop():
         complete_schedule(3),
         500,
         np.zeros((3, 2)),
-        early_stop=True,
         tol=1e-6,
     )
 
@@ -598,5 +612,5 @@ def _early_stop():
 def test_run_rows_match_the_snapshot_oracle(make_setup) -> None:
     setup = make_setup()
     trace = run(setup)
-    assert trace.stopped_early == setup.early_stop
+    assert trace.stopped_early == (setup.tol is not None)
     assert trace.rows == trace_rows(setup, trace)
